@@ -8,6 +8,7 @@
  * slowdown) and performance-unconstrained design points.
  */
 
+#include <algorithm>
 #include <iostream>
 
 #include "bench_common.hh"
@@ -113,16 +114,22 @@ main(int argc, char **argv)
     // unsharded; this shard's subset under --shard).
     const double n = static_cast<double>(
         bars_c.empty() ? 1 : bars_c.size());
+    // Bar labels pad to the longest name, at least 10 columns.
+    std::size_t label = 10;
+    for (const auto &bar : bars_c)
+        label = std::max(label, bar.first.size() + 1);
+    const auto printBars =
+        [label](const std::vector<std::pair<std::string, double>> &bars) {
+            for (const auto &[name, v] : bars)
+                std::cout << "  " << name
+                          << std::string(label - name.size(), ' ')
+                          << "|" << asciiBar(v) << "| "
+                          << fmtDouble(v, 3) << "\n";
+        };
     std::cout << "\nrelative energy-delay (constrained), 0..1:\n";
-    for (const auto &[name, v] : bars_c)
-        std::cout << "  " << name << std::string(10 - name.size(), ' ')
-                  << "|" << asciiBar(v) << "| "
-                  << fmtDouble(v, 3) << "\n";
+    printBars(bars_c);
     std::cout << "\naverage cache size (constrained), 0..1:\n";
-    for (const auto &[name, v] : bars_size)
-        std::cout << "  " << name << std::string(10 - name.size(), ' ')
-                  << "|" << asciiBar(v) << "| "
-                  << fmtDouble(v, 3) << "\n";
+    printBars(bars_size);
 
     std::cout << "\n== headline ==\n";
     std::cout << "mean energy-delay reduction, constrained:   "

@@ -38,12 +38,34 @@ namespace
  * exclusive mutex made every worker queue up here). A cache miss
  * builds outside any lock — two workers racing on a cold benchmark
  * do redundant deterministic work and the first insert wins.
+ *
+ * Images and run keys are keyed on the benchmark name, so the cache
+ * also records the first spec seen under each name and throws
+ * ProgramSpecCollision when a different spec claims it.
  */
 class ProgramImageCache
 {
   public:
+    /** Bind @p bench's name to its spec (first claim wins). */
+    void claim(const BenchmarkInfo &bench)
+    {
+        {
+            std::shared_lock<std::shared_mutex> lock(mu_);
+            auto it = specs_.find(bench.name);
+            if (it != specs_.end()) {
+                expectSameSpec(it->second, bench);
+                return;
+            }
+        }
+        std::unique_lock<std::shared_mutex> lock(mu_);
+        auto [it, inserted] = specs_.try_emplace(bench.name, bench.spec);
+        if (!inserted)
+            expectSameSpec(it->second, bench);
+    }
+
     const ProgramImage &get(const BenchmarkInfo &bench)
     {
+        claim(bench);
         {
             std::shared_lock<std::shared_mutex> lock(mu_);
             auto it = cache_.find(bench.name);
@@ -60,7 +82,17 @@ class ProgramImageCache
     }
 
   private:
+    static void expectSameSpec(const ProgramSpec &bound,
+                               const BenchmarkInfo &bench)
+    {
+        if (!(bound == bench.spec))
+            throw ProgramSpecCollision(
+                "benchmark '" + bench.name +
+                "' already names a different program spec");
+    }
+
     std::shared_mutex mu_;
+    std::map<std::string, ProgramSpec> specs_;
     std::map<std::string, std::unique_ptr<ProgramImage>> cache_;
 };
 
@@ -212,6 +244,9 @@ addCalKey(sim::ConfigKey &k, const FastCalibration &cal)
 sim::ConfigKey
 baseRunKey(const BenchmarkInfo &bench, const RunConfig &config)
 {
+    // The key names the program, not its spec: refuse a second spec
+    // under a name already in use.
+    imageCache().claim(bench);
     sim::ConfigKey k;
     k.add("bench", bench.name);
     k.add("instrs", config.maxInstrs);

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -148,6 +149,18 @@ InstCount defaultRunInstrs();
  * before fanning out.
  */
 const ProgramImage &programImageFor(const BenchmarkInfo &bench);
+
+/**
+ * Thrown when a benchmark name already stands for a different
+ * ProgramSpec in this process. Program images and run keys are
+ * keyed on the name alone, so two specs under one name would
+ * silently share an image and result-cache entries.
+ */
+class ProgramSpecCollision : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 /** Detailed run with a conventional L1 i-cache. */
 RunOutput runConventional(const BenchmarkInfo &bench,

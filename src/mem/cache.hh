@@ -114,6 +114,8 @@ class Cache : public MemoryLevel, public CoherenceClient
     {
         return mshrPeak_.value();
     }
+    /** The in-flight miss registers (stale entries prune lazily). */
+    const MshrFile &mshrFile() const { return mshr_; }
 
     /**
      * Attach this cache to a coherence fabric as @p core's private

@@ -635,7 +635,11 @@ SimpleCore::restoreFrom(sim::CheckpointReader &r)
 void
 OooCore::snapshotTo(sim::CheckpointWriter &w) const
 {
-    const auto putRobEntry = [&w](const RobEntry &e) {
+    w.beginSection("ooo_core");
+    w.putU64(now_);
+    w.putU64(robBuf_.size());
+    for (std::size_t i = 0; i < robBuf_.size(); ++i) {
+        const RobEntry &e = robBuf_[i];
         putInstr(w, e.instr);
         w.putBool(e.pred.taken);
         w.putU64(e.pred.target);
@@ -644,15 +648,9 @@ OooCore::snapshotTo(sim::CheckpointWriter &w) const
         w.putI64(e.prod1);
         w.putI64(e.prod2);
         w.putI64(e.depStore);
-        w.putBool(e.issued);
-        w.putU64(e.completeAt);
-    };
-
-    w.beginSection("ooo_core");
-    w.putU64(now_);
-    w.putU64(robBuf_.size());
-    for (const RobEntry &e : robBuf_)
-        putRobEntry(e);
+        w.putBool(issued_[i] != 0);
+        w.putU64(completeAt_[i]);
+    }
     w.putI64(seqHead_);
     w.putI64(seqTail_);
     w.putU64(fetchQueue_.size());
@@ -668,8 +666,8 @@ OooCore::snapshotTo(sim::CheckpointWriter &w) const
         w.putI64(s);
     w.putU64(lsqOccupancy_);
     w.putU64(storeSeqs_.size());
-    for (const std::int64_t s : storeSeqs_)
-        w.putI64(s);
+    for (const InflightStore &s : storeSeqs_)
+        w.putI64(s.seq);
     w.putBool(streamDone_);
     w.putU64(fetchResumeAt_);
     w.putBool(haltedForBranch_);
@@ -689,7 +687,11 @@ OooCore::snapshotTo(sim::CheckpointWriter &w) const
 void
 OooCore::restoreFrom(sim::CheckpointReader &r)
 {
-    const auto getRobEntry = [&r](RobEntry &e) {
+    r.beginSection("ooo_core");
+    now_ = r.getU64();
+    expectU64(r, robBuf_.size(), "rob size");
+    for (std::size_t i = 0; i < robBuf_.size(); ++i) {
+        RobEntry &e = robBuf_[i];
         getInstr(r, e.instr);
         e.pred.taken = r.getBool();
         e.pred.target = r.getU64();
@@ -698,15 +700,9 @@ OooCore::restoreFrom(sim::CheckpointReader &r)
         e.prod1 = r.getI64();
         e.prod2 = r.getI64();
         e.depStore = r.getI64();
-        e.issued = r.getBool();
-        e.completeAt = r.getU64();
-    };
-
-    r.beginSection("ooo_core");
-    now_ = r.getU64();
-    expectU64(r, robBuf_.size(), "rob size");
-    for (RobEntry &e : robBuf_)
-        getRobEntry(e);
+        issued_[i] = r.getBool() ? 1 : 0;
+        completeAt_[i] = r.getU64();
+    }
     seqHead_ = r.getI64();
     seqTail_ = r.getI64();
     fetchQueue_.resize(r.getU64());
@@ -722,8 +718,8 @@ OooCore::restoreFrom(sim::CheckpointReader &r)
         s = r.getI64();
     lsqOccupancy_ = static_cast<unsigned>(r.getU64());
     storeSeqs_.resize(r.getU64());
-    for (std::int64_t &s : storeSeqs_)
-        s = r.getI64();
+    for (InflightStore &s : storeSeqs_)
+        s.seq = r.getI64();
     streamDone_ = r.getBool();
     fetchResumeAt_ = r.getU64();
     haltedForBranch_ = r.getBool();
@@ -738,6 +734,26 @@ OooCore::restoreFrom(sim::CheckpointReader &r)
     bpred_.restoreFrom(r);
     group_.restoreFrom(r);
     r.endSection();
+
+    // Sequence numbers index the ROB ring: refuse an in-flight
+    // window or a link that points outside it.
+    const auto rob = static_cast<std::int64_t>(robBuf_.size());
+    bool inWindow = seqHead_ >= 0 && seqHead_ <= seqTail_ &&
+                    seqTail_ - seqHead_ <= rob &&
+                    stallBranchSeq_ < seqTail_;
+    for (const std::int64_t s : lastWriter_)
+        inWindow = inWindow && s < seqTail_;
+    for (const InflightStore &s : storeSeqs_)
+        inWindow = inWindow && s.seq < seqTail_;
+    for (std::int64_t seq = seqHead_; inWindow && seq < seqTail_; ++seq) {
+        const RobEntry &e = robBuf_[static_cast<std::size_t>(seq % rob)];
+        inWindow = e.prod1 < seq && e.prod2 < seq && e.depStore < seq;
+    }
+    if (!inWindow)
+        throw sim::CheckpointError(
+            "ooo_core: sequence numbers outside the ROB window");
+    // The wakeup/select state is derived, never serialized.
+    rebuildScheduler();
 }
 
 // ---------------------------------------------------------------

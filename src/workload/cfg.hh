@@ -75,6 +75,8 @@ struct OpMix
     double storeFrac = 0.10;
     double fpFrac = 0.0;
     double mulFrac = 0.02;
+
+    bool operator==(const OpMix &) const = default;
 };
 
 /** A phase: its code region (function ids), duration, behaviour. */

@@ -60,6 +60,8 @@ struct PhaseSpec
     std::uint64_t sharedBytes = 0;
     double sharedFraction = 0.0;
     Addr sharedBase = 0x2000'0000;
+
+    bool operator==(const PhaseSpec &) const = default;
 };
 
 /** Declarative description of a whole benchmark program. */
@@ -72,6 +74,8 @@ struct ProgramSpec
     Addr textBase = 0x0040'0000;
     /** Base address of the data segment. */
     Addr dataBase = 0x1000'0000;
+
+    bool operator==(const ProgramSpec &) const = default;
 };
 
 /** Build and lay out the program image. */

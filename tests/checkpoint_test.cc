@@ -18,12 +18,16 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 
+#include "cpu/ooo_core.hh"
 #include "harness/runner.hh"
 #include "mem/hierarchy.hh"
 #include "sim/checkpoint.hh"
 #include "system/cmp.hh"
+#include "workload/generator.hh"
+#include "workload/spec_suite.hh"
 
 namespace drisim
 {
@@ -609,6 +613,181 @@ TEST(CheckpointedRun, SamplingDisablesMidRunSnapshots)
     EXPECT_EQ(after.saves, before.saves);
     EXPECT_EQ(after.restores, before.restores);
     expectSameRun(s1, s2);
+}
+
+// ---------------------------------------------------------------
+// Splits where the issue scheduler's derived state is live
+// ---------------------------------------------------------------
+
+/** One detailed single-core system: hierarchy, OooCore, program. */
+struct CoreSystem
+{
+    CoreSystem(const std::string &bench, const HierarchyParams &hp)
+        : root("sim"),
+          hier(hp, &root, true),
+          core(OooParams{}, hier.l1i(), &hier.l1d(), &root),
+          gen(programImageFor(findBenchmark(bench)))
+    {
+    }
+
+    std::string snapshot() const
+    {
+        sim::CheckpointWriter w;
+        w.beginSection("split");
+        gen.snapshotTo(w);
+        core.snapshotTo(w);
+        hier.snapshotTo(w);
+        w.endSection();
+        return w.bytes();
+    }
+
+    void restore(std::string blob)
+    {
+        sim::CheckpointReader r(std::move(blob));
+        r.beginSection("split");
+        gen.restoreFrom(r);
+        core.restoreFrom(r);
+        hier.restoreFrom(r);
+        r.endSection();
+        EXPECT_TRUE(r.atEnd());
+    }
+
+    std::string statTree() const
+    {
+        std::ostringstream os;
+        root.dump(os);
+        return os.str();
+    }
+
+    stats::StatGroup root;
+    Hierarchy hier;
+    OooCore core;
+    TraceGenerator gen;
+};
+
+void
+expectSameSystem(const CoreSystem &a, const CoreSystem &b)
+{
+    EXPECT_EQ(a.core.cycles(), b.core.cycles());
+    EXPECT_EQ(a.core.committed(), b.core.committed());
+    EXPECT_EQ(a.statTree(), b.statTree());
+}
+
+/**
+ * Step @p bench one instruction at a time (past a warm-up) until
+ * @p live holds at the run boundary, snapshot there, and require
+ * both the continued run and a fresh system restored from the
+ * snapshot to match an uninterrupted run bit for bit.
+ */
+template <typename Live>
+void
+expectLiveSplitExact(const std::string &bench,
+                     const HierarchyParams &hp, Live &&live)
+{
+    constexpr InstCount kWarmup = 2000;
+    constexpr InstCount kLastSplit = 40 * 1000;
+    constexpr InstCount kTotal = 60 * 1000;
+
+    CoreSystem split(bench, hp);
+    split.core.run(split.gen, kWarmup);
+    InstCount at = kWarmup;
+    while (at < kLastSplit && !live(split)) {
+        split.core.run(split.gen, 1);
+        ++at;
+    }
+    ASSERT_TRUE(live(split)) << "no split point with live state";
+    const std::string blob = split.snapshot();
+    split.core.run(split.gen, kTotal - at);
+
+    CoreSystem restored(bench, hp);
+    restored.restore(blob);
+    restored.core.run(restored.gen, kTotal - at);
+
+    CoreSystem plain(bench, hp);
+    plain.core.run(plain.gen, kTotal);
+
+    EXPECT_EQ(plain.core.committed(), kTotal);
+    expectSameSystem(plain, split);
+    expectSameSystem(plain, restored);
+}
+
+TEST(CheckpointedCore, SplitWithLoadWaitingOnInFlightStoreIsExact)
+{
+    expectLiveSplitExact("compress", HierarchyParams{},
+                         [](const CoreSystem &s) {
+        return s.core.schedulerOccupancy().loadsOnStore > 0;
+    });
+}
+
+TEST(CheckpointedCore, SplitWithTimedFpMulChainsIsExact)
+{
+    expectLiveSplitExact("swim", HierarchyParams{},
+                         [](const CoreSystem &s) {
+        const OooCore::SchedulerOccupancy occ =
+            s.core.schedulerOccupancy();
+        return occ.timedFpMul > 1 && occ.waiting > 0;
+    });
+}
+
+TEST(CheckpointedCore, SplitWithOutstandingMshrMissesIsExact)
+{
+    expectLiveSplitExact("compress", bankedConfig().hier,
+                         [](CoreSystem &s) {
+        const MshrFile &m = s.hier.l1d().mshrFile();
+        return m.occupancy() > 1 &&
+               m.earliestFillAt() > s.core.cycles() &&
+               s.core.schedulerOccupancy().waiting > 0;
+    });
+}
+
+/**
+ * The run tests/data/checkpoint_v3 snapshots: swim, 40960
+ * instructions, 4 KB L1s, a 16 KB L2, banked DRAM and MSHRs. Its
+ * midpoint (instruction 20480) has dozens of entries waiting on
+ * producers, FP entries timed for later and four live L1D misses.
+ */
+RunConfig
+fixtureConfig()
+{
+    RunConfig c;
+    c.maxInstrs = 40960;
+    c.hier.l1i.sizeBytes = 4 * 1024;
+    c.hier.l1d.sizeBytes = 4 * 1024;
+    c.hier.l2.sizeBytes = 16 * 1024;
+    c.hier.dram.banked = true;
+    c.hier.l1i.mshrs = 4;
+    c.hier.l1d.mshrs = 4;
+    c.hier.l2.mshrs = 8;
+    return c;
+}
+
+TEST(CheckpointedRun, V3FixtureFromScanningCoreRestoresExactly)
+{
+    // The fixture was written by the build whose core rescanned the
+    // ROB each cycle; it stores no scheduler state, so restoring it
+    // rebuilds the wakeup lists, ready set and timing wheel from the
+    // ROB.
+    TempDir dir;
+    const std::filesystem::path fixture =
+        std::filesystem::path(DRISIM_TEST_DATA_DIR) / "checkpoint_v3";
+    for (const auto &f : std::filesystem::directory_iterator(fixture))
+        std::filesystem::copy_file(
+            f.path(), std::filesystem::path(dir.path) / f.path().filename());
+
+    const BenchmarkInfo &b = findBenchmark("swim");
+    RunConfig cfg = fixtureConfig();
+    EXPECT_EQ(runKeyConventional(b, cfg).hashHex(), "37f2a814163a9621");
+    const RunOutput plain = runConventional(b, cfg);
+    // The cycle count the scanning core produced for this run.
+    EXPECT_EQ(plain.meas.cycles, 121644u);
+
+    cfg.checkpointDir = dir.path;
+    const sim::CheckpointCounters before = sim::checkpointCounters();
+    const RunOutput restored = runConventional(b, cfg);
+    const sim::CheckpointCounters after = sim::checkpointCounters();
+    EXPECT_EQ(after.restores, before.restores + 1);
+    EXPECT_EQ(after.saves, before.saves);
+    expectSameRun(plain, restored);
 }
 
 } // namespace

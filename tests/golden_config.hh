@@ -12,6 +12,7 @@
 #define DRISIM_TESTS_GOLDEN_CONFIG_HH
 
 #include <cstdint>
+#include <ostream>
 #include <sstream>
 #include <string>
 
@@ -43,6 +44,18 @@ struct GoldenCase
     // Rendered figure-3-style table row.
     const char *row;
 };
+
+/**
+ * Print a GoldenCase by its benchmark name. Without this, gtest
+ * dumps the raw object bytes into the listed test name, and those
+ * begin with the benchmark pointer, which ASLR moves on every run —
+ * so the ctest name discovered at build time would change per build.
+ */
+inline void
+PrintTo(const GoldenCase &c, std::ostream *os)
+{
+    *os << c.benchmark;
+}
 
 /** Pinned expectations for one multi-level search benchmark. */
 struct MultiLevelGoldenCase

@@ -92,6 +92,32 @@ TEST(Runner, DefaultRunInstrsHonoursScaleEnv)
     unsetenv("DRISIM_SCALE");
 }
 
+TEST(Runner, SameSpecTwiceSharesOneImage)
+{
+    const BenchmarkInfo &li = findBenchmark("li");
+    const BenchmarkInfo copy = li;
+    EXPECT_EQ(&programImageFor(li), &programImageFor(copy));
+    EXPECT_EQ(runKeyConventional(li, RunConfig{}).hashHex(),
+              runKeyConventional(copy, RunConfig{}).hashHex());
+}
+
+TEST(Runner, SecondSpecUnderOneNameThrows)
+{
+    const BenchmarkInfo &li = findBenchmark("li");
+    ASSERT_EQ(li.spec.seed, 103u);
+    programImageFor(li);
+    BenchmarkInfo other = li;
+    other.spec.seed = 999;
+    // Images and run keys are keyed on the name: a second spec
+    // under it must not silently reuse the first one's image or
+    // result-cache entries.
+    EXPECT_THROW(programImageFor(other), ProgramSpecCollision);
+    EXPECT_THROW(runKeyConventional(other, RunConfig{}),
+                 ProgramSpecCollision);
+    EXPECT_THROW(runConventional(other, RunConfig{}),
+                 ProgramSpecCollision);
+}
+
 TEST(Sweep, FindsFeasibleConfigForClass1)
 {
     const auto &b = findBenchmark("applu");

@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <vector>
 
 #include "cpu/ooo_core.hh"
 #include "mem/cache.hh"
 #include "mem/memory.hh"
+#include "sim/checkpoint.hh"
 
 namespace drisim
 {
@@ -30,6 +32,10 @@ class VecStream : public InstrStream
         out = v_[idx_++];
         return true;
     }
+
+    /** Instructions handed out so far; seek() resumes there. */
+    size_t position() const { return idx_; }
+    void seek(size_t idx) { idx_ = idx; }
 
   private:
     std::vector<Instr> v_;
@@ -275,6 +281,129 @@ TEST(OooCore, StoreToLoadForwardingAvoidsDcache)
     // A handful of loads can slip past forwarding when the store
     // commits first; the overwhelming majority must forward.
     EXPECT_LE(loads->value(), 10u);
+}
+
+/** dcache loads that reached the array (forwarded ones do not). */
+std::uint64_t
+dcacheLoads(CoreRig &rig)
+{
+    const auto *s = dynamic_cast<const stats::Scalar *>(
+        rig.dcache.statGroup().find("load_accesses"));
+    return s ? s->value() : ~std::uint64_t{0};
+}
+
+TEST(OooCore, RestoreRederivesInFlightStoreForwarding)
+{
+    // A 40-op FP chain; its 30th result feeds a store to X; 100
+    // fillers and a load of X follow. The second of two passes over
+    // that code fetches from a warm i-cache, so the ROB fills behind
+    // the chain: the load is dispatched only after some chain ops
+    // commit, while the store still waits, and forwards from the
+    // store (which completes before the older chain tail, so it is
+    // still in the ROB when the load issues).
+    std::vector<Instr> v;
+    Addr pc = 0x1000;
+    const auto add = [&](Instr i) {
+        i.pc = pc;
+        i.nextPc = pc + kInstrBytes;
+        pc += kInstrBytes;
+        v.push_back(i);
+    };
+    for (int k = 0; k < 40; ++k) {
+        Instr f;
+        f.op = OpClass::FpAlu;
+        f.dest = 1;
+        f.src1 = 1;
+        add(f);
+        if (k == 29) {
+            f.dest = 3;
+            add(f);
+        }
+    }
+    Instr st;
+    st.op = OpClass::Store;
+    st.src1 = 3;
+    st.memAddr = 0x2000;
+    add(st);
+    for (int k = 0; k < 100; ++k)
+        add(alu(0, static_cast<std::uint8_t>(2 + k % 20)));
+    Instr ld;
+    ld.op = OpClass::Load;
+    ld.dest = 30;
+    ld.memAddr = 0x2000;
+    add(ld);
+    const std::size_t pass = v.size();
+    for (std::size_t i = 0; i < pass; ++i)
+        v.push_back(v[i]);
+
+    CoreRig plain;
+    VecStream ps(v);
+    plain.core.run(ps, 1u << 30);
+    // Only the cold first pass's load reaches the d-cache.
+    ASSERT_EQ(dcacheLoads(plain), 1u);
+
+    // Split before the load is dispatched: the restored core must
+    // rebuild the store's forwarding word from the ROB.
+    CoreRig first;
+    VecStream fs(v);
+    first.core.run(fs, pass + 8);
+    ASSERT_EQ(first.core.schedulerOccupancy().loadsOnStore, 0u);
+    sim::CheckpointWriter w;
+    first.core.snapshotTo(w);
+    first.icache.snapshotTo(w);
+    first.dcache.snapshotTo(w);
+    first.mem.snapshotTo(w);
+
+    CoreRig second;
+    sim::CheckpointReader r(w.bytes());
+    second.core.restoreFrom(r);
+    second.icache.restoreFrom(r);
+    second.dcache.restoreFrom(r);
+    second.mem.restoreFrom(r);
+    VecStream ss(v);
+    ss.seek(fs.position());
+    second.core.run(ss, 1u << 30);
+
+    EXPECT_EQ(second.core.cycles(), plain.core.cycles());
+    EXPECT_EQ(dcacheLoads(second), 1u);
+    std::ostringstream a, b;
+    plain.root.dump(a);
+    second.root.dump(b);
+    EXPECT_EQ(a.str(), b.str());
+}
+
+TEST(OooCore, RestoreRejectsSequencesOutsideTheRob)
+{
+    CoreRig rig;
+    VecStream s(independent(1000));
+    rig.core.run(s, 500);
+    sim::CheckpointWriter w;
+    rig.core.snapshotTo(w);
+    std::string blob = w.bytes();
+
+    // seqHead_ (500, the committed count) is stored as an I64 and
+    // followed by seqTail_; stretch the window past the ROB.
+    const auto i64 = [](std::int64_t v) {
+        std::string b(1, 'I');
+        for (int k = 0; k < 8; ++k)
+            b.push_back(static_cast<char>(
+                static_cast<std::uint64_t>(v) >> (8 * k)));
+        return b;
+    };
+    const std::size_t at = blob.find(i64(500) + 'I');
+    ASSERT_NE(at, std::string::npos);
+    blob.replace(at + 9, 9, i64(500 + 10000));
+
+    CoreRig bad;
+    sim::CheckpointReader r(blob);
+    try {
+        bad.core.restoreFrom(r);
+        FAIL() << "restored a window larger than the ROB";
+    } catch (const sim::CheckpointError &e) {
+        EXPECT_NE(std::string(e.what()).find("ROB window"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(OooCore, DrainsAndStops)
