@@ -549,5 +549,154 @@ TEST(ResultCacheRunnerTest, StalePayloadVersionIsAMissNotServed)
     EXPECT_EQ(again.meas.cycles, computed.meas.cycles);
 }
 
+// --- pinned sidecar ---------------------------------------------------
+
+/** Every RunOutput field, exactly. */
+void
+expectSameOutput(const RunOutput &a, const RunOutput &b)
+{
+    EXPECT_EQ(a.meas.cycles, b.meas.cycles);
+    EXPECT_EQ(a.meas.instructions, b.meas.instructions);
+    EXPECT_EQ(a.meas.l1iAccesses, b.meas.l1iAccesses);
+    EXPECT_EQ(a.meas.l1iMisses, b.meas.l1iMisses);
+    EXPECT_EQ(a.meas.avgActiveFraction, b.meas.avgActiveFraction);
+    EXPECT_EQ(a.meas.resizingTagBits, b.meas.resizingTagBits);
+    EXPECT_EQ(a.meas.l1iBytes, b.meas.l1iBytes);
+    EXPECT_EQ(a.ipc, b.ipc);
+    EXPECT_EQ(a.l1dMissRate, b.l1dMissRate);
+    EXPECT_EQ(a.l2MissRate, b.l2MissRate);
+    EXPECT_EQ(a.l2Accesses, b.l2Accesses);
+    EXPECT_EQ(a.l2Misses, b.l2Misses);
+    EXPECT_EQ(a.memAccesses, b.memAccesses);
+    EXPECT_EQ(a.memReads, b.memReads);
+    EXPECT_EQ(a.memWritebacks, b.memWritebacks);
+    EXPECT_EQ(a.resizes, b.resizes);
+    EXPECT_EQ(a.throttleEvents, b.throttleEvents);
+    EXPECT_EQ(a.mshrCoalesced, b.mshrCoalesced);
+    EXPECT_EQ(a.mshrFullStalls, b.mshrFullStalls);
+    EXPECT_EQ(a.mshrFullStallCycles, b.mshrFullStallCycles);
+    EXPECT_EQ(a.mshrPeakOccupancy, b.mshrPeakOccupancy);
+    EXPECT_EQ(a.dramRowHits, b.dramRowHits);
+    EXPECT_EQ(a.dramRowMisses, b.dramRowMisses);
+    EXPECT_EQ(a.dramQueueFullEvents, b.dramQueueFullEvents);
+    EXPECT_EQ(a.dramBusyCycles, b.dramBusyCycles);
+    EXPECT_EQ(a.l2SizeBytes, b.l2SizeBytes);
+    EXPECT_EQ(a.l2AvgActiveFraction, b.l2AvgActiveFraction);
+    EXPECT_EQ(a.l2ResizingTagBits, b.l2ResizingTagBits);
+    EXPECT_EQ(a.l2Resizes, b.l2Resizes);
+    EXPECT_EQ(a.l1DrowsyFraction, b.l1DrowsyFraction);
+    EXPECT_EQ(a.wakeTransitions, b.wakeTransitions);
+    EXPECT_EQ(a.wakeStallCycles, b.wakeStallCycles);
+    EXPECT_EQ(a.policyBlocksLost, b.policyBlocksLost);
+}
+
+/** What runEveryEntryPoint produced: one output per run, plus the
+ *  calibration the fast runs used. */
+struct EntryPointRuns
+{
+    std::vector<RunOutput> outputs;
+    FastCalibration cal;
+};
+
+/**
+ * One small run of every runner entry point (conv, dri, policy with
+ * a DRI and a drowsy L1I, calibrate, conv_fast, dri_fast and
+ * policy_fast) on non-default knobs: L1 MSHRs, banked DRAM, a DRI
+ * L2 and a sampled detailed run. tests/data/result_cache_v2 holds
+ * these runs as an earlier build stored them.
+ */
+EntryPointRuns
+runEveryEntryPoint(const std::shared_ptr<ResultCache> &cache)
+{
+    const BenchmarkInfo &b = findBenchmark("compress");
+    RunConfig cfg;
+    cfg.maxInstrs = 128 * 1024;
+    cfg.hier.l1i.mshrs = 2;
+    cfg.hier.l1d.mshrs = 2;
+    cfg.hier.l2.mshrs = 4;
+    cfg.hier.dram.banked = true;
+    cfg.resultCache = cache;
+    RunConfig l2dri = cfg;
+    l2dri.hier.l2Dri = true;
+    l2dri.hier.l2DriParams.senseInterval = 16 * 1024;
+    RunConfig sampled = l2dri;
+    sampled.sampling.enabled = true;
+    sampled.sampling.detailedWindow = 16 * 1024;
+    sampled.sampling.period = 48 * 1024;
+
+    DriParams dri;
+    dri.senseInterval = 16 * 1024;
+    dri.sizeBoundBytes = 2048;
+    dri.missBound = 64;
+    PolicyConfig driPolicy;
+    driPolicy.dri = dri;
+    PolicyConfig drowsy = driPolicy;
+    drowsy.kind = PolicyKind::Drowsy;
+    drowsy.drowsy.drowsyInterval = 16 * 1024;
+    PolicyConfig decay = driPolicy;
+    decay.kind = PolicyKind::Decay;
+    decay.decay.decayInterval = 8 * 1024;
+
+    EntryPointRuns r;
+    r.outputs.push_back(runConventional(b, cfg));
+    r.outputs.push_back(runDri(b, sampled, dri));
+    r.outputs.push_back(runPolicy(b, l2dri, driPolicy));
+    r.outputs.push_back(runPolicy(b, cfg, drowsy));
+    r.cal = calibrateFast(b, cfg, r.outputs[0]);
+    r.outputs.push_back(runConventionalFast(b, l2dri, r.cal));
+    r.outputs.push_back(runDriFast(b, cfg, dri, r.cal));
+    r.outputs.push_back(runPolicyFast(b, l2dri, decay, r.cal));
+    return r;
+}
+
+TEST(ResultCacheRunnerTest, PinnedSidecarIsServedEntirelyAsHits)
+{
+    TempDir dir;
+    // Regeneration: point this at a new, empty file to write the
+    // fixture with the build under test instead of checking it.
+    if (const char *out = std::getenv("DRISIM_WRITE_RESULT_CACHE")) {
+        runEveryEntryPoint(std::make_shared<ResultCache>(out));
+        GTEST_SKIP() << "wrote " << out;
+    }
+    const std::filesystem::path fixture =
+        std::filesystem::path(DRISIM_TEST_DATA_DIR) /
+        "result_cache_v2" / "results.jsonl";
+    std::filesystem::copy_file(fixture, dir.file("results.jsonl"));
+
+    const auto cache =
+        std::make_shared<ResultCache>(dir.file("results.jsonl"));
+    const EntryPointRuns served = runEveryEntryPoint(cache);
+    const ResultCache::Counters c = cache->counters();
+    EXPECT_EQ(c.hits, served.outputs.size() + 1); // + calibrate
+    EXPECT_EQ(c.misses, 0u);
+    EXPECT_EQ(c.stores, 0u);
+
+    const EntryPointRuns fresh = runEveryEntryPoint(nullptr);
+    EXPECT_EQ(served.cal.baseCpi, fresh.cal.baseCpi);
+    EXPECT_EQ(served.cal.missOverlap, fresh.cal.missOverlap);
+    ASSERT_EQ(served.outputs.size(), fresh.outputs.size());
+    for (std::size_t i = 0; i < fresh.outputs.size(); ++i) {
+        SCOPED_TRACE("run " + std::to_string(i));
+        expectSameOutput(served.outputs[i], fresh.outputs[i]);
+    }
+}
+
+TEST(ConfigKeyTest, CoherentCmpKeyHashIsPinned)
+{
+    RunConfig cfg;
+    cfg.maxInstrs = 64 * 1024;
+    cfg.hier.l1d.mshrs = 2;
+    cfg.hier.dram.banked = true;
+    CmpConfig cmp;
+    cmp.cores = 2;
+    cmp.coherence.enabled = true;
+    CmpCoreConfig drowsyCore;
+    drowsyCore.bench = "li";
+    drowsyCore.dri = true;
+    drowsyCore.policyKind = PolicyKind::Drowsy;
+    cmp.coreConfigs = {CmpCoreConfig{}, drowsyCore};
+    EXPECT_EQ(runKeyCmp(cfg, cmp, "compress").hashHex(), "ee660fdcff8c4352");
+}
+
 } // namespace
 } // namespace drisim
