@@ -81,7 +81,7 @@ main(int argc, char **argv)
     std::vector<std::pair<std::string, double>> bars_c;
     std::vector<std::pair<std::string, double>> bars_size;
 
-    const auto &suite = specSuite();
+    const auto &suite = paperSuite();
     for (std::size_t i = 0; i < suite.size(); ++i) {
         const auto &b = suite[i];
         if (!drv.shouldRun(i))

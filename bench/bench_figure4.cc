@@ -52,7 +52,7 @@ main(int argc, char **argv)
     // --short keeps compress+li, the same filter the sweep registry
     // applies, so loop indices keep matching the plan.
     std::vector<BenchmarkInfo> suite;
-    for (const auto &b : specSuite()) {
+    for (const auto &b : paperSuite()) {
         if (ctx.shortRun && b.name != "compress" && b.name != "li")
             continue;
         suite.push_back(b);

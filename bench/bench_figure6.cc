@@ -64,7 +64,7 @@ main(int argc, char **argv)
     jsonCols.push_back("config_hash");
     SweepDriver drv(ctx, "bench_figure6", "figure6", jsonCols);
 
-    const auto &suite = specSuite();
+    const auto &suite = paperSuite();
     for (std::size_t i = 0; i < suite.size(); ++i) {
         const auto &b = suite[i];
         if (!drv.shouldRun(i))

@@ -55,7 +55,7 @@ main(int argc, char **argv)
     double worst_dev = 0.0;
     std::string worst_name;
 
-    const auto &suite = specSuite();
+    const auto &suite = paperSuite();
     for (std::size_t i = 0; i < suite.size(); ++i) {
         const auto &b = suite[i];
         if (!drv.shouldRun(i))

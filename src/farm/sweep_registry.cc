@@ -62,14 +62,14 @@ cmpCoherentMixes(unsigned cores)
 namespace
 {
 
-/** One unit per suite benchmark, keyed on the conventional-run
+/** One unit per benchmark of @p suite, keyed on the conventional-run
  *  identity plus the sweep name (the per-benchmark sweeps). */
 std::vector<SweepUnit>
 suiteUnits(const std::string &sweep, const SweepSetup &setup,
-           bool honourShort)
+           const std::vector<BenchmarkInfo> &suite, bool honourShort)
 {
     std::vector<SweepUnit> units;
-    for (const BenchmarkInfo &b : specSuite()) {
+    for (const BenchmarkInfo &b : suite) {
         if (honourShort && setup.shortRun && b.name != "compress" &&
             b.name != "li")
             continue;
@@ -124,15 +124,24 @@ cmpUnits(const std::string &sweep, const SweepSetup &setup,
 std::vector<SweepUnit>
 sweepUnits(const std::string &sweep, const SweepSetup &setup)
 {
+    // The paper figures run the paper's 15 benchmarks; the policy
+    // and multi-level studies run the whole registry.
     if (sweep == "figure3" || sweep == "figure5" ||
-        sweep == "figure6" || sweep == "section56" ||
-        sweep == "multilevel")
-        return suiteUnits(sweep, setup, /*honourShort=*/false);
+        sweep == "figure6" || sweep == "section56")
+        return suiteUnits(sweep, setup, paperSuite(),
+                          /*honourShort=*/false);
+    if (sweep == "multilevel")
+        return suiteUnits(sweep, setup, specSuite(),
+                          /*honourShort=*/false);
     // figure4 and policies honour --short: their binaries filter
     // the same way, so plan indices keep matching the loop (the CI
     // obs smoke runs bench_figure4 --short).
-    if (sweep == "figure4" || sweep == "policies")
-        return suiteUnits(sweep, setup, /*honourShort=*/true);
+    if (sweep == "figure4")
+        return suiteUnits(sweep, setup, paperSuite(),
+                          /*honourShort=*/true);
+    if (sweep == "policies")
+        return suiteUnits(sweep, setup, specSuite(),
+                          /*honourShort=*/true);
     if (sweep == "cmp")
         return cmpUnits(sweep, setup, /*coherent=*/false);
     if (sweep == "cmp_coherent")

@@ -4,6 +4,16 @@
  * hierarchy and core, runs, and extracts RunMeasurements. Supports
  * the detailed out-of-order model and the fast fetch-driven model
  * (used only for parameter search; see SimpleCore).
+ *
+ * Every single-core entry point below forwards to one private run
+ * path. A run is the benchmark, the RunConfig, an L1I flavour
+ * (conventional, DRI or leakage policy; DRI goes through the
+ * DriPolicy adapter) and a core model (detailed, or fast with a
+ * FastCalibration). What differs per flavour — its key `mode` and
+ * fields, its trace/metrics series name, its probes and the
+ * RunOutput fields it fills — is one row of a table in runner.cc;
+ * memoization, sampling, metering, the checkpoint seam and the
+ * L2/memory outputs are shared by all of them.
  */
 
 #ifndef DRISIM_HARNESS_RUNNER_HH
@@ -227,19 +237,9 @@ sim::ConfigKey runKeyDri(const BenchmarkInfo &bench,
 sim::ConfigKey runKeyPolicy(const BenchmarkInfo &bench,
                             const RunConfig &config,
                             const PolicyConfig &policy);
-sim::ConfigKey runKeyCalibrate(const BenchmarkInfo &bench,
-                               const RunConfig &config);
 sim::ConfigKey runKeyConventionalFast(const BenchmarkInfo &bench,
                                       const RunConfig &config,
                                       const FastCalibration &cal);
-sim::ConfigKey runKeyDriFast(const BenchmarkInfo &bench,
-                             const RunConfig &config,
-                             const DriParams &dri,
-                             const FastCalibration &cal);
-sim::ConfigKey runKeyPolicyFast(const BenchmarkInfo &bench,
-                                const RunConfig &config,
-                                const PolicyConfig &policy,
-                                const FastCalibration &cal);
 
 /**
  * The benchmark each CMP core runs: its coreK.bench override, or

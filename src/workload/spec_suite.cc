@@ -313,6 +313,19 @@ specSuite()
     return suite;
 }
 
+const std::vector<BenchmarkInfo> &
+paperSuite()
+{
+    static const std::vector<BenchmarkInfo> suite = [] {
+        std::vector<BenchmarkInfo> paper;
+        for (const BenchmarkInfo &b : specSuite())
+            if (b.benchClass <= 3)
+                paper.push_back(b);
+        return paper;
+    }();
+    return suite;
+}
+
 const BenchmarkInfo &
 findBenchmark(const std::string &name)
 {

@@ -47,6 +47,10 @@ struct BenchmarkInfo
  *  sharing workloads (18 total). */
 const std::vector<BenchmarkInfo> &specSuite();
 
+/** The paper's experiment: the 15 paper benchmarks (classes 1-3) in
+ *  presentation order, without the class-4 sharing workloads. */
+const std::vector<BenchmarkInfo> &paperSuite();
+
 /** Look up one benchmark by name (fatal if unknown). */
 const BenchmarkInfo &findBenchmark(const std::string &name);
 

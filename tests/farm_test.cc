@@ -184,6 +184,32 @@ TEST(SweepRegistry, UnitHashesTrackConfig)
         EXPECT_NE(ua[i].hash, ub[i].hash) << ua[i].label;
 }
 
+/** The paper figures' units — the rows their means average — are
+ *  exactly the paper's 15 benchmarks in paper order; the policy and
+ *  multi-level studies keep the whole registry. */
+TEST(SweepRegistry, PaperFiguresCoverExactlyThePaperBenchmarks)
+{
+    const std::vector<std::string> paper = {
+        "applu", "compress", "li",      "mgrid", "swim",
+        "apsi",  "fpppp",    "go",      "m88ksim", "perl",
+        "gcc",   "hydro2d",  "ijpeg",   "su2cor", "tomcatv"};
+    const auto labels = [](const std::vector<SweepUnit> &units) {
+        std::vector<std::string> out;
+        for (const SweepUnit &u : units)
+            out.push_back(u.label);
+        return out;
+    };
+    const SweepSetup setup = defaultSetup();
+    for (const char *sweep :
+         {"figure3", "figure4", "figure5", "figure6", "section56"}) {
+        SCOPED_TRACE(sweep);
+        EXPECT_EQ(labels(sweepUnits(sweep, setup)), paper);
+    }
+    for (const char *sweep : {"multilevel", "policies"})
+        EXPECT_EQ(sweepUnits(sweep, setup).size(), specSuite().size())
+            << sweep;
+}
+
 // ---------------------------------------------------------------
 // Fragments
 // ---------------------------------------------------------------

@@ -30,6 +30,17 @@ TEST(SpecSuite, PaperBenchmarksThenSharingWorkloadsInOrder)
         EXPECT_EQ(suite[i].name, expected[i]);
 }
 
+TEST(SpecSuite, PaperSuiteIsTheFifteenPaperBenchmarks)
+{
+    const auto &suite = specSuite();
+    const auto &paper = paperSuite();
+    ASSERT_EQ(paper.size(), 15u);
+    for (size_t i = 0; i < paper.size(); ++i) {
+        EXPECT_EQ(paper[i].name, suite[i].name);
+        EXPECT_LE(paper[i].benchClass, 3) << paper[i].name;
+    }
+}
+
 TEST(SpecSuite, ClassAssignmentsMatchSection53)
 {
     const std::set<std::string> class1 = {"applu", "compress", "li",
