@@ -125,23 +125,17 @@ std::vector<SweepUnit>
 sweepUnits(const std::string &sweep, const SweepSetup &setup)
 {
     // The paper figures run the paper's 15 benchmarks; the policy
-    // and multi-level studies run the whole registry.
-    if (sweep == "figure3" || sweep == "figure5" ||
+    // and multi-level studies run the whole registry. figure4 and
+    // policies honour --short: their binaries filter the same way,
+    // so plan indices keep matching the loop (the CI obs smoke runs
+    // bench_figure4 --short).
+    if (sweep == "figure3" || sweep == "figure4" || sweep == "figure5" ||
         sweep == "figure6" || sweep == "section56")
         return suiteUnits(sweep, setup, paperSuite(),
-                          /*honourShort=*/false);
-    if (sweep == "multilevel")
+                          /*honourShort=*/sweep == "figure4");
+    if (sweep == "multilevel" || sweep == "policies")
         return suiteUnits(sweep, setup, specSuite(),
-                          /*honourShort=*/false);
-    // figure4 and policies honour --short: their binaries filter
-    // the same way, so plan indices keep matching the loop (the CI
-    // obs smoke runs bench_figure4 --short).
-    if (sweep == "figure4")
-        return suiteUnits(sweep, setup, paperSuite(),
-                          /*honourShort=*/true);
-    if (sweep == "policies")
-        return suiteUnits(sweep, setup, specSuite(),
-                          /*honourShort=*/true);
+                          /*honourShort=*/sweep == "policies");
     if (sweep == "cmp")
         return cmpUnits(sweep, setup, /*coherent=*/false);
     if (sweep == "cmp_coherent")
