@@ -56,13 +56,10 @@ TEST(ResizableL2, DowncastWritesBackDirtyBlocks)
     ResizableCache l2(p, ResizePolicy::writeback(), &mem, &root,
                       "dri_l2");
 
-    // Dirty a block in a set that the first downsize will gate off,
-    // and leave a clean one in another doomed set: only the dirty
-    // block is written back, the clean one is dropped silently.
+    // Dirty a block in a set that the first downsize will gate off.
     const std::uint64_t sets = l2.currentSets();
     const Addr high_set_addr = (sets - 1) * 64;
     l2.access(high_set_addr, AccessType::Store);
-    l2.access((sets - 2) * 64, AccessType::Load);
     const std::uint64_t mem_before = mem.accesses();
 
     l2.retireInstructions(p.senseInterval);
@@ -106,10 +103,17 @@ TEST(ResizableL2, UpsizeRemapsInsteadOfAliasing)
     }
 }
 
-/** An 8 KB direct-mapped write-back level, 32-byte blocks: 256 sets,
+// --- DRI d-cache -----------------------------------------------------
+//
+// A write-back ResizableCache sized as a small data cache: the dirty
+// block handling the paper defers. Downsizing must write back dirty
+// state before gating; upsizing must evict remapped blocks (no stale
+// aliases for data).
+
+/** An 8 KB direct-mapped write-back cache, 32-byte blocks: 256 sets,
  *  shrinking to 32. */
 DriParams
-smallDataParams(std::uint64_t missBound)
+smallDri(std::uint64_t missBound = 10)
 {
     DriParams p;
     p.sizeBytes = 8 * 1024;
@@ -118,6 +122,14 @@ smallDataParams(std::uint64_t missBound)
     p.missBound = missBound;
     p.senseInterval = 1000;
     return p;
+}
+
+ResizableCache
+dataCache(const DriParams &p, MemoryLevel *below,
+          stats::StatGroup *root)
+{
+    return ResizableCache(p, ResizePolicy::writeback(), below, root,
+                          "dri_dcache");
 }
 
 /** Counts the store traffic (writebacks) arriving from above. */
@@ -137,12 +149,52 @@ class CountingMemory : public MemoryLevel
     Addr lastStore = kInvalidAddr;
 };
 
-TEST(ResizableL2, UpsizeWritesBackRemappedDirtyBlocks)
+TEST(DriDCache, LoadStoreHitMiss)
 {
     stats::StatGroup root("t");
     CountingMemory mem;
-    ResizableCache c(smallDataParams(10), ResizePolicy::writeback(),
-                     &mem, &root, "dri_l2");
+    ResizableCache c = dataCache(smallDri(), &mem, &root);
+    EXPECT_FALSE(c.access(0x100, AccessType::Load).hit);
+    EXPECT_TRUE(c.access(0x100, AccessType::Load).hit);
+    EXPECT_TRUE(c.access(0x104, AccessType::Store).hit);
+    EXPECT_EQ(c.misses(), 1u);
+}
+
+TEST(DriDCache, DowsizeWritesBackDirtyBlocks)
+{
+    stats::StatGroup root("t");
+    CountingMemory mem;
+    ResizableCache c = dataCache(smallDri(), &mem, &root);
+
+    // Dirty a block in set 200 (doomed by the first downsize).
+    const Addr doomed = 32 * 200;
+    c.access(doomed, AccessType::Store);
+    const std::uint64_t stores_before = mem.stores;
+
+    c.retireInstructions(1000); // quiet interval -> downsize
+    ASSERT_EQ(c.currentSets(), 128u);
+    EXPECT_EQ(c.resizeWritebacks(), 1u);
+    EXPECT_EQ(mem.stores, stores_before + 1);
+    EXPECT_EQ(mem.lastStore, doomed);
+}
+
+TEST(DriDCache, CleanBlocksAreDroppedSilently)
+{
+    stats::StatGroup root("t");
+    CountingMemory mem;
+    ResizableCache c = dataCache(smallDri(), &mem, &root);
+    c.access(32 * 200, AccessType::Load); // clean block, set 200
+    const std::uint64_t stores_before = mem.stores;
+    c.retireInstructions(1000);
+    EXPECT_EQ(c.resizeWritebacks(), 0u);
+    EXPECT_EQ(mem.stores, stores_before);
+}
+
+TEST(DriDCache, UpsizeEvictsRemappedDirtyBlocks)
+{
+    stats::StatGroup root("t");
+    CountingMemory mem;
+    ResizableCache c = dataCache(smallDri(), &mem, &root);
 
     // Shrink to 32 sets.
     for (int i = 0; i < 3; ++i)
@@ -170,28 +222,44 @@ TEST(ResizableL2, UpsizeWritesBackRemappedDirtyBlocks)
     EXPECT_FALSE(c.access(remapped, AccessType::Load).hit);
 }
 
-TEST(ResizableL2, NoDirtyDataIsLostUnderRandomTraffic)
+TEST(DriDCache, MappingConsistencyUnderRandomTraffic)
 {
-    // Properties over a random access/resize history: no powered
-    // frame ever disagrees with the current index mask, and every
-    // store reaches the level below through an eviction, a resize
-    // writeback or the final flush.
+    // Property: after any access/resize history, no powered frame
+    // disagrees with the current index mask — the invariant that
+    // makes data resizing safe.
     stats::StatGroup root("t");
     CountingMemory mem;
-    ResizableCache c(smallDataParams(50), ResizePolicy::writeback(),
-                     &mem, &root, "dri_l2");
-    Rng rng(7);
-    std::uint64_t storesIssued = 0;
+    ResizableCache c = dataCache(smallDri(50), &mem, &root);
+    Rng rng(99);
     for (int step = 0; step < 400; ++step) {
         const int burst = static_cast<int>(rng.range(150));
         for (int i = 0; i < burst; ++i) {
             const Addr a = rng.range(1 << 16) & ~Addr{7};
+            c.access(a, rng.chance(0.3) ? AccessType::Store
+                                        : AccessType::Load);
+        }
+        c.retireInstructions(rng.range(1500));
+        ASSERT_TRUE(c.mappingConsistent()) << "step " << step;
+    }
+}
+
+TEST(DriDCache, NoDirtyDataIsEverLost)
+{
+    // Property: every store reaches the level below through an
+    // eviction, a resize writeback or the final flush.
+    stats::StatGroup root("t");
+    CountingMemory mem;
+    ResizableCache c = dataCache(smallDri(50), &mem, &root);
+    Rng rng(7);
+    std::uint64_t storesIssued = 0;
+    for (int step = 0; step < 200; ++step) {
+        for (int i = 0; i < 100; ++i) {
+            const Addr a = rng.range(1 << 15) & ~Addr{7};
             const bool store = rng.chance(0.4);
             c.access(a, store ? AccessType::Store : AccessType::Load);
             storesIssued += store;
         }
-        c.retireInstructions(rng.range(1500));
-        ASSERT_TRUE(c.mappingConsistent()) << "step " << step;
+        c.retireInstructions(rng.range(1200));
     }
     const std::uint64_t beforeFlush = mem.stores;
     c.invalidateAll(); // final flush
@@ -202,6 +270,19 @@ TEST(ResizableL2, NoDirtyDataIsLostUnderRandomTraffic)
     EXPECT_GT(mem.stores, beforeFlush);
     EXPECT_LE(mem.stores, storesIssued);
     EXPECT_TRUE(c.mappingConsistent());
+}
+
+TEST(DriDCache, ResizesUnderTheSameControllerRules)
+{
+    stats::StatGroup root("t");
+    CountingMemory mem;
+    ResizableCache c = dataCache(smallDri(), &mem, &root);
+    c.retireInstructions(1000);
+    c.retireInstructions(1000);
+    EXPECT_EQ(c.downsizes(), 2u);
+    EXPECT_DOUBLE_EQ(c.activeFraction(), 0.25);
+    c.integrateCycles(100);
+    EXPECT_DOUBLE_EQ(c.averageActiveFraction(), 0.25);
 }
 
 // --- hierarchy wiring -------------------------------------------------
