@@ -10,8 +10,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <type_traits>
+
 #include "harness/multilevel.hh"
 #include "harness/runner.hh"
+#include "obs/metrics.hh"
 #include "system/cmp.hh"
 
 namespace drisim
@@ -94,6 +102,56 @@ TEST(CmpSystem, SingleCoreDriWithDriL2MatchesRunnerBitForBit)
     EXPECT_EQ(out.l2AvgActiveFraction, single.l2AvgActiveFraction);
     EXPECT_EQ(out.l2ResizingTagBits, single.l2ResizingTagBits);
     EXPECT_EQ(out.l2Resizes, single.l2Resizes);
+}
+
+TEST(CmpSystem, SingleCoreDrowsyPolicyMatchesRunnerBitForBit)
+{
+    // A state-preserving policy L1I: the drowsy fraction and the wake
+    // counts must come out of the CMP exactly as runPolicy reports
+    // them.
+    RunConfig cfg;
+    cfg.maxInstrs = 400 * 1000;
+    DrowsyParams drowsy;
+    drowsy.drowsyInterval = 50 * 1000;
+    PolicyConfig pc;
+    pc.kind = PolicyKind::Drowsy;
+    pc.dri = driParamsForLevel(cfg.hier.l1i, DriParams{});
+    pc.drowsy = drowsy;
+
+    const BenchmarkInfo &b = findBenchmark("li");
+    const RunOutput single = runPolicy(b, cfg, pc);
+
+    CmpConfig cmp;
+    cmp.cores = 1;
+    CmpCoreConfig core;
+    core.bench = "li";
+    core.dri = true;
+    core.policyKind = PolicyKind::Drowsy;
+    core.drowsy = drowsy;
+    cmp.coreConfigs.push_back(core);
+    const CmpRunOutput out = runCmp(cfg, cmp, "li");
+
+    ASSERT_EQ(out.cores.size(), 1u);
+    const CmpCoreOutput &c = out.cores[0];
+    EXPECT_EQ(c.meas.cycles, single.meas.cycles);
+    EXPECT_EQ(c.meas.instructions, single.meas.instructions);
+    EXPECT_EQ(c.meas.l1iAccesses, single.meas.l1iAccesses);
+    EXPECT_EQ(c.meas.l1iMisses, single.meas.l1iMisses);
+    EXPECT_EQ(c.meas.avgActiveFraction,
+              single.meas.avgActiveFraction);
+    EXPECT_EQ(c.meas.resizingTagBits, single.meas.resizingTagBits);
+    EXPECT_EQ(c.meas.l1iBytes, single.meas.l1iBytes);
+    EXPECT_EQ(c.ipc, single.ipc);
+    EXPECT_EQ(c.l1dMissRate, single.l1dMissRate);
+    EXPECT_EQ(c.resizes, single.resizes);
+    EXPECT_EQ(c.throttleEvents, single.throttleEvents);
+    EXPECT_EQ(c.l1DrowsyFraction, single.l1DrowsyFraction);
+    EXPECT_EQ(c.wakeTransitions, single.wakeTransitions);
+    EXPECT_EQ(c.wakeStallCycles, single.wakeStallCycles);
+    EXPECT_GT(c.wakeTransitions, 0u);
+    EXPECT_EQ(out.l2Accesses, single.l2Accesses);
+    EXPECT_EQ(out.l2Misses, single.l2Misses);
+    EXPECT_EQ(out.memAccesses, single.memAccesses);
 }
 
 TEST(CmpSystem, AttributionSumsAndContentionFiresWithSharers)
@@ -510,6 +568,180 @@ TEST(CmpSearchConcurrency, ImageCacheHammeredFromConcurrentCells)
     ASSERT_EQ(sr.evaluated.size(), 8u);
     for (const CmpCandidate &cand : sr.evaluated)
         EXPECT_EQ(cand.cmp.driRun.cores.size(), 3u);
+}
+
+// --- pinned 3-core run ------------------------------------------------
+
+/**
+ * The run tests/data/cmp_v1 pins: three cores of shared_image at
+ * 200 K instructions each, one conventional, one DRI and one drowsy
+ * L1I, with coherence, banked DRAM, L1 MSHRs and a DRI L2.
+ */
+void
+pinnedCmpRun(RunConfig &cfg, CmpConfig &cmp)
+{
+    cfg.maxInstrs = 200 * 1000;
+    cfg.hier.l1i.mshrs = 2;
+    cfg.hier.l1d.mshrs = 2;
+    cfg.hier.dram.banked = true;
+    cfg.hier.l2Dri = true;
+    cfg.hier.l2DriParams.senseInterval = 50 * 1000;
+
+    cmp.cores = 3;
+    cmp.coherence.enabled = true;
+    CmpCoreConfig dri;
+    dri.dri = true;
+    dri.driParams.senseInterval = 20 * 1000;
+    dri.driParams.sizeBoundBytes = 2048;
+    dri.driParams.missBound = 512;
+    CmpCoreConfig drowsy;
+    drowsy.dri = true;
+    drowsy.policyKind = PolicyKind::Drowsy;
+    drowsy.drowsy.drowsyInterval = 20 * 1000;
+    cmp.coreConfigs = {CmpCoreConfig{}, dri, drowsy};
+}
+
+/** Every CmpRunOutput and CmpCoreOutput field as `name=value` lines;
+ *  integers in decimal, doubles with %.17g. */
+std::string
+cmpOutputText(const CmpRunOutput &o)
+{
+    std::string text;
+    const auto put = [&text](const std::string &name, const auto &v) {
+        text += name + "=";
+        if constexpr (std::is_floating_point_v<
+                          std::decay_t<decltype(v)>>) {
+            char buf[40];
+            std::snprintf(buf, sizeof buf, "%.17g", v);
+            text += buf;
+        } else {
+            text += std::to_string(v);
+        }
+        text += "\n";
+    };
+    for (std::size_t k = 0; k < o.cores.size(); ++k) {
+        const CmpCoreOutput &c = o.cores[k];
+        const std::string p = "core" + std::to_string(k) + ".";
+        text += p + "bench=" + c.bench + "\n";
+        put(p + "cycles", c.meas.cycles);
+        put(p + "instructions", c.meas.instructions);
+        put(p + "l1i_accesses", c.meas.l1iAccesses);
+        put(p + "l1i_misses", c.meas.l1iMisses);
+        put(p + "l1i_active_fraction", c.meas.avgActiveFraction);
+        put(p + "l1i_tag_bits", c.meas.resizingTagBits);
+        put(p + "l1i_bytes", c.meas.l1iBytes);
+        put(p + "ipc", c.ipc);
+        put(p + "l1d_miss_rate", c.l1dMissRate);
+        put(p + "resizes", c.resizes);
+        put(p + "throttle_events", c.throttleEvents);
+        put(p + "l2_accesses", c.l2Accesses);
+        put(p + "l2_misses", c.l2Misses);
+        put(p + "l2_contention_events", c.l2ContentionEvents);
+        put(p + "l2_miss_latency_cycles", c.l2MissLatencyCycles);
+        put(p + "l1_drowsy_fraction", c.l1DrowsyFraction);
+        put(p + "l1_gated_fraction", c.l1GatedFraction);
+        put(p + "wake_transitions", c.wakeTransitions);
+        put(p + "wake_stall_cycles", c.wakeStallCycles);
+        put(p + "coh_invalidations_received",
+            c.coherenceInvalidationsReceived);
+        put(p + "coh_invalidations_caused",
+            c.coherenceInvalidationsCaused);
+        put(p + "coh_downgrades", c.coherenceDowngrades);
+        put(p + "coh_writebacks", c.coherenceWritebacks);
+        put(p + "coh_msg_cycles", c.coherenceMsgCycles);
+        put(p + "coh_wakes", c.coherenceWakes);
+        put(p + "coh_refetches", c.coherenceRefetches);
+    }
+    put("system_cycles", o.systemCycles);
+    put("l2_accesses", o.l2Accesses);
+    put("l2_misses", o.l2Misses);
+    put("l2_miss_rate", o.l2MissRate);
+    put("l2_contention_events", o.l2ContentionEvents);
+    put("mem_accesses", o.memAccesses);
+    put("l2_size_bytes", o.l2SizeBytes);
+    put("l2_active_fraction", o.l2AvgActiveFraction);
+    put("l2_tag_bits", o.l2ResizingTagBits);
+    put("l2_resizes", o.l2Resizes);
+    put("l2_miss_latency_cycles", o.l2MissLatencyCycles);
+    put("mshr_coalesced", o.mshrCoalesced);
+    put("mshr_full_stalls", o.mshrFullStalls);
+    put("mshr_peak_occupancy", o.mshrPeakOccupancy);
+    put("dram_row_hits", o.dramRowHits);
+    put("dram_row_misses", o.dramRowMisses);
+    put("dram_queue_full", o.dramQueueFullEvents);
+    put("dram_busy_cycles", o.dramBusyCycles);
+    for (std::size_t b = 0; b < o.dramBankRowHits.size(); ++b)
+        put("dram_bank" + std::to_string(b) + "_row_hits",
+            o.dramBankRowHits[b]);
+    put("coh_invalidations", o.coherenceInvalidations);
+    put("coh_downgrades", o.coherenceDowngrades);
+    put("coh_writebacks", o.coherenceWritebacks);
+    put("coh_msg_cycles", o.coherenceMsgCycles);
+    put("directory_evictions", o.directoryEvictions);
+    return text;
+}
+
+std::vector<std::string>
+splitLines(const std::string &text)
+{
+    std::vector<std::string> lines;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    return lines;
+}
+
+std::string
+readFile(const std::filesystem::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream s;
+    s << in.rdbuf();
+    return s.str();
+}
+
+TEST(CmpPinned, ThreeCoreRunMatchesFixture)
+{
+    RunConfig cfg;
+    CmpConfig cmp;
+    pinnedCmpRun(cfg, cmp);
+
+    const char *tmp = std::getenv("TMPDIR");
+    obs::initMetrics(std::string(tmp ? tmp : "/tmp") +
+                         "/cmp_pinned.metrics.csv",
+                     20 * 1000);
+    const CmpRunOutput out = runCmp(cfg, cmp, "shared_image");
+    const std::string csv = obs::metrics()->renderCsv();
+    obs::resetMetrics();
+    const std::string fields = cmpOutputText(out);
+
+    // Regeneration: point this at an existing directory to write the
+    // fixture with the build under test instead of checking it.
+    if (const char *dir = std::getenv("DRISIM_WRITE_CMP_FIXTURE")) {
+        std::ofstream(std::filesystem::path(dir) / "metrics.csv",
+                      std::ios::binary)
+            << csv;
+        std::ofstream(std::filesystem::path(dir) / "output.txt",
+                      std::ios::binary)
+            << fields;
+        GTEST_SKIP() << "wrote " << dir;
+    }
+
+    const std::filesystem::path fixture =
+        std::filesystem::path(DRISIM_TEST_DATA_DIR) / "cmp_v1";
+    EXPECT_EQ(csv, readFile(fixture / "metrics.csv"));
+    const std::vector<std::string> want =
+        splitLines(readFile(fixture / "output.txt"));
+    const std::vector<std::string> got = splitLines(fields);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i], want[i]);
+    // The pinned run exercises what it claims to: each flavour's
+    // activity and the protocol both show up.
+    EXPECT_GT(out.cores[1].resizes, 0u);
+    EXPECT_GT(out.cores[2].wakeTransitions, 0u);
+    EXPECT_GT(out.coherenceInvalidations, 0u);
+    EXPECT_GT(out.mshrCoalesced, 0u);
 }
 
 } // namespace
