@@ -32,7 +32,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/dri_icache.hh"
 #include "mem/memory.hh"
 #include "stats/stats.hh"
 #include "cpu/branch_pred.hh"
@@ -77,12 +76,6 @@ class OooCore : public Core
      */
     OooCore(const OooParams &params, MemoryLevel *icache,
             MemoryLevel *dcache, stats::StatGroup *parent);
-
-    /**
-     * Attach a DRI i-cache for retirement notifications and active-
-     * size integration (pass nullptr for conventional runs).
-     */
-    void setDri(DriICache *dri) { addResizable(dri); }
 
     /**
      * Run until @p stream ends or @p maxInstrs commit. Resumable

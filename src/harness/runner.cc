@@ -3,9 +3,11 @@
  * Run orchestration: one run path for every single-core entry point.
  * A run is a benchmark, a RunConfig, an L1I spec (a conventional
  * Cache, a DRI i-cache or a leakage policy) and a core model (the
- * detailed OooCore, or the calibrated SimpleCore). What differs per
- * L1I flavour lives in one table (kFlavours); memoization, sampling,
- * metering, the checkpoint seam and the L2/memory outputs are shared.
+ * detailed OooCore, or the calibrated SimpleCore). A flavour's key
+ * fields and series name live in one table (kFlavours); its probes
+ * and L1I outputs come from system/l1i.hh, which the CMP shares;
+ * memoization, sampling, metering, the checkpoint seam and the
+ * L2/memory outputs are common to every run.
  */
 
 #include "harness/runner.hh"
@@ -24,8 +26,8 @@
 #include "obs/metrics.hh"
 #include "obs/probe.hh"
 #include "obs/trace.hh"
-#include "policy/dri_policy.hh"
 #include "sim/checkpoint.hh"
+#include "system/l1i.hh"
 #include "util/logging.hh"
 #include "workload/generator.hh"
 
@@ -121,7 +123,9 @@ imageFor(const BenchmarkInfo &bench)
 void
 fillL2Outputs(Hierarchy &hier, RunOutput &out)
 {
-    // MSHR activity sums over every cache level; the peak is the max.
+    // MSHR activity sums over the L2, the L1D and a conventional L1I
+    // (a policy-managed or DRI L1I's MSHRs are left out); the peak is
+    // the max.
     const auto addMshrs = [&out](const auto &c) {
         out.mshrCoalesced += c.mshrCoalesced();
         out.mshrFullStalls += c.mshrFullStalls();
@@ -457,38 +461,10 @@ runCheckpointed(const RunConfig &config, const sim::ConfigKey &key,
     return core.run(gen, total - split);
 }
 
-/** What a run's probes read: its core, hierarchy and L1I. */
-struct L1View
-{
-    Core *core;
-    Hierarchy *hier;
-    LeakagePolicy *policy; ///< policy-managed L1I, else null
-    std::uint64_t sizeBytes;
-};
-
-/** Common probes: core clock, L1I/L1D/L2 hierarchy counters. */
+/** The hierarchy's own probes: L1D/L2 counters, MSHR peak, DRAM. */
 void
-addHierProbes(obs::MetricRegistry &reg, const L1View &l1)
+addHierProbes(obs::MetricRegistry &reg, Hierarchy *hier)
 {
-    Core *core = l1.core;
-    Hierarchy *hier = l1.hier;
-    reg.add("cycles", [core] {
-        return static_cast<double>(core->stats().cycles);
-    });
-    if (LeakagePolicy *policy = l1.policy) {
-        reg.add("l1i_accesses", [policy] {
-            return static_cast<double>(policy->l1Accesses());
-        });
-        reg.add("l1i_misses", [policy] {
-            return static_cast<double>(policy->l1Misses());
-        });
-    } else {
-        Cache *c = hier->convL1i();
-        reg.add("l1i_accesses",
-                [c] { return static_cast<double>(c->accesses()); });
-        reg.add("l1i_misses",
-                [c] { return static_cast<double>(c->misses()); });
-    }
     reg.add("l1d_accesses", [hier] {
         return static_cast<double>(hier->l1d().accesses());
     });
@@ -508,64 +484,6 @@ addHierProbes(obs::MetricRegistry &reg, const L1View &l1)
         reg.add("dram_busy_cycles", [d] {
             return static_cast<double>(d->busyCycles());
         });
-}
-
-/** Conventional L1I: full-size, always active. */
-void
-addConvL1iProbes(obs::MetricRegistry &reg, const L1View &l1)
-{
-    const std::uint64_t sizeBytes = l1.sizeBytes;
-    reg.add("active_bytes",
-            [sizeBytes] { return static_cast<double>(sizeBytes); });
-}
-
-/** DRI L1I: instantaneous size plus the active-area integral. */
-void
-addDriL1iProbes(obs::MetricRegistry &reg, const L1View &l1)
-{
-    DriICache *icache = &static_cast<DriPolicy *>(l1.policy)->icache();
-    Core *core = l1.core;
-    reg.add("active_cycle_area", [icache, core] {
-        return icache->averageActiveFraction() *
-               static_cast<double>(core->stats().cycles);
-    });
-    reg.add("active_bytes", [icache] {
-        return static_cast<double>(icache->currentSizeBytes());
-    });
-    reg.add("resizes", [icache] {
-        return static_cast<double>(icache->upsizes() +
-                                   icache->downsizes());
-    });
-}
-
-/** Leakage-policy L1I: time-integrated activity + wake events. */
-void
-addPolicyL1iProbes(obs::MetricRegistry &reg, const L1View &l1)
-{
-    LeakagePolicy *policy = l1.policy;
-    Core *core = l1.core;
-    const std::uint64_t sizeBytes = l1.sizeBytes;
-    reg.add("l1i_size_bytes",
-            [sizeBytes] { return static_cast<double>(sizeBytes); });
-    reg.add("active_cycle_area", [policy, core] {
-        return policy->activity().avgActiveFraction *
-               static_cast<double>(core->stats().cycles);
-    });
-    reg.add("drowsy_cycle_area", [policy, core] {
-        return policy->activity().avgDrowsyFraction *
-               static_cast<double>(core->stats().cycles);
-    });
-    reg.add("resizes", [policy] {
-        return static_cast<double>(policy->activity().resizes);
-    });
-    reg.add("wakes", [policy] {
-        return static_cast<double>(
-            policy->activity().wakeTransitions);
-    });
-    reg.add("wake_stall_cycles", [policy] {
-        return static_cast<double>(
-            policy->activity().wakeStallCycles);
-    });
 }
 
 /**
@@ -601,9 +519,6 @@ runMetered(Core &core, TraceGenerator &gen, InstCount total,
 // The one run path
 // ------------------------------------------------------------------
 
-/** Which L1 i-cache a run builds. */
-enum class L1Flavour { Conv, Dri, Policy };
-
 /**
  * A run's L1 i-cache. Dri and Policy runs build `policy` through
  * makeLeakagePolicy, so a DRI L1I is the zero-logic DriPolicy
@@ -625,8 +540,10 @@ driSpec(const DriParams &dri)
 }
 
 /**
- * Everything that differs between L1I flavours. A new flavour is one
- * row here plus its cache's checkpoint state in sim/state_io.cc.
+ * What differs between L1I flavours in a run's key and series name.
+ * A new flavour is one row here, its probe set and output fill in
+ * system/l1i.{hh,cc}, and its cache's checkpoint state in
+ * sim/state_io.cc.
  */
 struct FlavourRow
 {
@@ -635,26 +552,18 @@ struct FlavourRow
     const char *mode;
     /** The L1I's own run-key fields. */
     void (*addKey)(sim::ConfigKey &k, const PolicyConfig &policy);
-    /** The L1I's interval probes. */
-    void (*addProbes)(obs::MetricRegistry &reg, const L1View &l1);
-    /** Report the drowsy fraction, wakes and blocks lost; the classic
-     *  DRI report leaves them 0. */
-    bool policyFields;
 };
 
 const FlavourRow kFlavours[] = {
-    {"conv", [](sim::ConfigKey &, const PolicyConfig &) {},
-     addConvL1iProbes, false},
+    {"conv", [](sim::ConfigKey &, const PolicyConfig &) {}},
     {"dri",
      [](sim::ConfigKey &k, const PolicyConfig &p) {
          addDriKey(k, "dri", p.dri);
-     },
-     addDriL1iProbes, false},
+     }},
     {"policy",
      [](sim::ConfigKey &k, const PolicyConfig &p) {
          addPolicyKey(k, "pol", "kind", p);
-     },
-     addPolicyL1iProbes, true},
+     }},
 };
 
 const FlavourRow &
@@ -743,14 +652,15 @@ runL1(const BenchmarkInfo &bench, const RunConfig &config,
         obs::ScopedSpan runSpan(obs::trace(), "run", series);
         stats::StatGroup root(cal ? "fast" : "sim");
         const bool conv = l1.flavour == L1Flavour::Conv;
-        const std::uint64_t l1Bytes =
-            conv ? config.hier.l1i.sizeBytes : l1.policy.dri.sizeBytes;
         Hierarchy hier(config.hier, &root, conv);
         std::unique_ptr<LeakagePolicy> policy;
         if (!conv) {
             policy = makeLeakagePolicy(l1.policy, hier.l2Level(), &root);
             hier.setL1I(policy->level());
         }
+        const L1iView l1i{l1.flavour, hier.convL1i(), policy.get(),
+                          conv ? config.hier.l1i.sizeBytes
+                               : l1.policy.dri.sizeBytes};
         std::unique_ptr<Core> core;
         if (cal) {
             SimpleCoreParams scp;
@@ -775,9 +685,8 @@ runL1(const BenchmarkInfo &bench, const RunConfig &config,
                                  config.core.fetchBlockBytes);
         } else if (obs::metrics()) {
             obs::IntervalSampler sampler(series);
-            const L1View view{core.get(), &hier, policy.get(), l1Bytes};
-            addHierProbes(sampler.registry(), view);
-            row.addProbes(sampler.registry(), view);
+            addL1iProbes(sampler.registry(), l1i, *core);
+            addHierProbes(sampler.registry(), &hier);
             cs = runMetered(*core, gen, config.maxInstrs, sampler);
         } else {
             cs = runCheckpointed(config, key, *core, gen, hier,
@@ -787,26 +696,7 @@ runL1(const BenchmarkInfo &bench, const RunConfig &config,
         RunOutput out;
         out.meas.cycles = cs.cycles;
         out.meas.instructions = cs.instructions;
-        out.meas.l1iBytes = l1Bytes;
-        if (policy) {
-            const PolicyActivity act = policy->activity();
-            out.meas.l1iAccesses = policy->l1Accesses();
-            out.meas.l1iMisses = policy->l1Misses();
-            out.meas.avgActiveFraction = act.avgActiveFraction;
-            out.meas.resizingTagBits = act.resizingTagBits;
-            out.resizes = act.resizes;
-            out.throttleEvents = act.throttleEvents;
-            if (row.policyFields) {
-                out.l1DrowsyFraction = act.avgDrowsyFraction;
-                out.wakeTransitions = act.wakeTransitions;
-                out.wakeStallCycles = act.wakeStallCycles;
-                out.policyBlocksLost = act.blocksLost;
-            }
-        } else {
-            // A conventional L1I is always fully active.
-            out.meas.l1iAccesses = hier.convL1i()->accesses();
-            out.meas.l1iMisses = hier.convL1i()->misses();
-        }
+        fillL1iOutputs(l1i, out);
         out.ipc = cs.ipc();
         // The fast model never touches the L1D, so this stays 0 there.
         out.l1dMissRate = hier.l1d().missRate();

@@ -9,11 +9,11 @@
  * path. A run is the benchmark, the RunConfig, an L1I flavour
  * (conventional, DRI or leakage policy; DRI goes through the
  * DriPolicy adapter) and a core model (detailed, or fast with a
- * FastCalibration). What differs per flavour — its key `mode` and
- * fields, its trace/metrics series name, its probes and the
- * RunOutput fields it fills — is one row of a table in runner.cc;
- * memoization, sampling, metering, the checkpoint seam and the
- * L2/memory outputs are shared by all of them.
+ * FastCalibration). A flavour's key `mode` and fields and its
+ * trace/metrics series name are one row of a table in runner.cc; its
+ * probes and the RunOutput fields it fills come from system/l1i.hh,
+ * shared with the CMP; memoization, sampling, metering, the
+ * checkpoint seam and the L2/memory outputs are common to all runs.
  */
 
 #ifndef DRISIM_HARNESS_RUNNER_HH
@@ -261,9 +261,9 @@ sim::ConfigKey runKeyCmp(const RunConfig &config, const CmpConfig &cmp,
 
 /**
  * Detailed CMP run (system/cmp.hh): N cores, private L1s
- * (conventional or DRI per cmp.coreConfigs), shared L2 (conventional
- * or resizable per config.hier.l2Dri), each core running
- * config.maxInstrs instructions of its own benchmark. With
+ * (conventional or leakage-managed per cmp.coreConfigs), shared L2
+ * (conventional or resizable per config.hier.l2Dri), each core
+ * running config.maxInstrs instructions of its own benchmark. With
  * cmp.cores == 1 this reproduces the single-core entry points
  * bit-for-bit (locked by tests).
  */

@@ -7,9 +7,9 @@
 #include "system/cmp.hh"
 
 #include <algorithm>
-#include <map>
 
 #include "obs/metrics.hh"
+#include "policy/dri_policy.hh"
 #include "util/logging.hh"
 #include "util/str.hh"
 
@@ -116,7 +116,6 @@ CmpSystem::CmpSystem(const CmpConfig &cmp, const HierarchyParams &hier,
         bus_->enableCoherence(cmp.coherence, n);
 
     convL1is_.resize(n);
-    driL1is_.resize(n);
     policyL1is_.resize(n);
     for (unsigned k = 0; k < n; ++k) {
         cpuGroups_.push_back(std::make_unique<stats::StatGroup>(
@@ -128,57 +127,47 @@ CmpSystem::CmpSystem(const CmpConfig &cmp, const HierarchyParams &hier,
         l1ds_.push_back(
             std::make_unique<Cache>(hier.l1d, port, grp));
 
+        // The L1I, as the runner builds it: a conventional Cache or
+        // a LeakagePolicy (a DRI L1I is DriPolicy).
         const CmpCoreConfig cfg = cmp.coreConfig(k);
-        MemoryLevel *l1i = nullptr;
-        if (cfg.dri && cfg.policyKind == PolicyKind::Dri) {
-            // The classic path, byte-identical to pre-policy
-            // builds (locked by the CMP goldens).
-            driL1is_[k] = std::make_unique<DriICache>(
-                driParamsForLevel(hier.l1i, cfg.driParams), port,
-                grp);
-            l1i = driL1is_[k].get();
-        } else if (cfg.dri) {
-            PolicyConfig pc;
-            pc.kind = cfg.policyKind;
-            pc.dri = driParamsForLevel(hier.l1i, cfg.driParams);
-            pc.decay = cfg.decay;
-            pc.drowsy = cfg.drowsy;
-            pc.ways = cfg.ways;
-            policyL1is_[k] = makeLeakagePolicy(pc, port, grp);
-            l1i = policyL1is_[k]->level();
+        L1iView l1i{L1Flavour::Conv, nullptr, nullptr,
+                    hier.l1i.sizeBytes};
+        if (cfg.dri) {
+            l1i.flavour = cfg.policyKind == PolicyKind::Dri
+                              ? L1Flavour::Dri
+                              : L1Flavour::Policy;
+            policyL1is_[k] = makeLeakagePolicy(
+                {cfg.policyKind,
+                 driParamsForLevel(hier.l1i, cfg.driParams), cfg.decay,
+                 cfg.drowsy, cfg.ways},
+                port, grp);
+            l1i.policy = policyL1is_[k].get();
         } else {
             convL1is_[k] =
                 std::make_unique<Cache>(hier.l1i, port, grp);
-            l1i = convL1is_[k].get();
+            l1i.conv = convL1is_[k].get();
         }
+        l1is_.push_back(l1i);
+        MemoryLevel *l1iLevel =
+            l1i.policy ? l1i.policy->level() : l1i.conv;
         // Coherent runs attach every private L1 to the fabric: the
         // bus is the requester-side agent, and the controller probes
         // the L1D and the L1I (whatever flavour) as core k.
         if (CoherenceController *cc = bus_->coherence()) {
             l1ds_.back()->setCoherence(bus_.get(), k);
             cc->addClient(k, l1ds_.back().get());
-            if (convL1is_[k]) {
-                convL1is_[k]->setCoherence(bus_.get(), k);
-                cc->addClient(k, convL1is_[k].get());
-            } else if (driL1is_[k]) {
-                driL1is_[k]->setCoherence(bus_.get(), k);
-                cc->addClient(k, driL1is_[k].get());
-            } else if (auto *pc = dynamic_cast<Cache *>(
-                           policyL1is_[k]->level())) {
-                pc->setCoherence(bus_.get(), k);
-                cc->addClient(k, pc);
-            } else if (auto *rc = dynamic_cast<ResizableCache *>(
-                           policyL1is_[k]->level())) {
+            if (auto *c = dynamic_cast<Cache *>(l1iLevel)) {
+                c->setCoherence(bus_.get(), k);
+                cc->addClient(k, c);
+            } else if (auto *rc =
+                           dynamic_cast<ResizableCache *>(l1iLevel)) {
                 rc->setCoherence(bus_.get(), k);
                 cc->addClient(k, rc);
             }
         }
         cores_.push_back(std::make_unique<OooCore>(
-            coreParams, l1i, l1ds_.back().get(), grp));
-        if (driL1is_[k])
-            cores_.back()->addResizable(driL1is_[k].get());
-        if (policyL1is_[k])
-            cores_.back()->addRetireSink(policyL1is_[k].get());
+            coreParams, l1iLevel, l1ds_.back().get(), grp));
+        cores_.back()->addRetireSink(l1i.policy);
         gens_.push_back(
             std::make_unique<TraceGenerator>(*images[k]));
     }
@@ -198,150 +187,22 @@ CmpSystem::run(InstCount maxInstrsPerCore)
     std::vector<InstCount> remaining(n, maxInstrsPerCore);
     Cycles sysClock = 0;
 
-    // Per-core interval metrics (observation only): each core is
-    // sampled once its committed-instruction count has advanced by
-    // the recorder interval since its previous sample. Probes read
-    // cumulative state; the recorder rows carry interval deltas
-    // (counters) or cycle-area fractions, mirroring the single-core
-    // runner's sampler so downstream reports treat both alike.
+    // Per-core interval metrics (observation only): one sampler per
+    // core, sampled once its committed-instruction count has advanced
+    // by the recorder interval since its previous sample.
     obs::TimeSeriesRecorder *metrics =
         obsSeries_.empty() ? nullptr : obs::metrics();
-    struct ObsPrev
-    {
-        std::map<std::string, double> vals;
-        InstCount instrs = 0;
-    };
-    std::vector<ObsPrev> obsPrev(metrics ? n : 0);
-    const InstCount obsInterval = metrics ? metrics->interval() : 0;
-
-    auto readCore = [&](unsigned k) {
-        std::map<std::string, double> v;
-        const CoreStats cs = cores_[k]->stats();
-        v["cycles"] = static_cast<double>(cs.cycles);
-        if (driL1is_[k]) {
-            const DriICache &ic = *driL1is_[k];
-            v["l1i_accesses"] =
-                static_cast<double>(ic.accesses());
-            v["l1i_misses"] = static_cast<double>(ic.misses());
-            v["active_cycle_area"] =
-                ic.averageActiveFraction() *
-                static_cast<double>(cs.cycles);
-            v["active_bytes"] =
-                static_cast<double>(ic.currentSizeBytes());
-            v["resizes"] = static_cast<double>(ic.upsizes() +
-                                               ic.downsizes());
-        } else if (policyL1is_[k]) {
-            const LeakagePolicy &p = *policyL1is_[k];
-            const PolicyActivity act = p.activity();
-            v["l1i_accesses"] =
-                static_cast<double>(p.l1Accesses());
-            v["l1i_misses"] = static_cast<double>(p.l1Misses());
-            v["l1i_size_bytes"] =
-                static_cast<double>(hier_.l1i.sizeBytes);
-            v["active_cycle_area"] =
-                act.avgActiveFraction *
-                static_cast<double>(cs.cycles);
-            v["drowsy_cycle_area"] =
-                act.avgDrowsyFraction *
-                static_cast<double>(cs.cycles);
-            v["resizes"] = static_cast<double>(act.resizes);
-            v["wakes"] =
-                static_cast<double>(act.wakeTransitions);
-            v["wake_stall_cycles"] =
-                static_cast<double>(act.wakeStallCycles);
-        } else {
-            const Cache &ic = *convL1is_[k];
-            v["l1i_accesses"] =
-                static_cast<double>(ic.accesses());
-            v["l1i_misses"] = static_cast<double>(ic.misses());
-            v["active_cycle_area"] =
-                static_cast<double>(cs.cycles);
-            v["active_bytes"] =
-                static_cast<double>(hier_.l1i.sizeBytes);
+    std::vector<obs::IntervalSampler> samplers;
+    std::vector<InstCount> sampledAt(n, 0);
+    if (metrics)
+        for (unsigned k = 0; k < n; ++k) {
+            samplers.emplace_back(obsSeries_ + "/core" +
+                                  std::to_string(k));
+            addCoreProbes(samplers.back().registry(), k);
         }
-        v["l2_accesses"] =
-            static_cast<double>(bus_->accesses(k));
-        v["l2_misses"] = static_cast<double>(bus_->misses(k));
-        if (const CoherenceController *cc = bus_->coherence()) {
-            v["coherence_invalidations"] = static_cast<double>(
-                cc->coreStats(k).invalidationsReceived);
-            if (policyL1is_[k]) {
-                const PolicyActivity act =
-                    policyL1is_[k]->activity();
-                v["coherence_wakes"] =
-                    static_cast<double>(act.coherenceWakes);
-                v["coherence_refetches"] =
-                    static_cast<double>(act.coherenceRefetches);
-            } else if (driL1is_[k]) {
-                v["coherence_refetches"] = static_cast<double>(
-                    driL1is_[k]->coherenceRefetches());
-            }
-        }
-        return v;
-    };
-
-    auto sampleCore = [&](unsigned k) {
-        std::map<std::string, double> cur = readCore(k);
-        ObsPrev &p = obsPrev[k];
-        auto has = [&](const char *name) {
-            return cur.count(name) > 0;
-        };
-        auto delta = [&](const char *name) {
-            const auto it = cur.find(name);
-            const double now =
-                it == cur.end() ? 0.0 : it->second;
-            const auto pit = p.vals.find(name);
-            const double was =
-                pit == p.vals.end() ? 0.0 : pit->second;
-            return now - was;
-        };
-        auto clamp01 = [](double f) {
-            return std::min(1.0, std::max(0.0, f));
-        };
-
-        const CoreStats cs = cores_[k]->stats();
-        const double dc = delta("cycles");
-        const double di =
-            static_cast<double>(cs.instructions - p.instrs);
-        std::vector<std::pair<std::string, double>> out;
-        out.emplace_back("cycles", dc);
-        out.emplace_back("cpi", di > 0.0 ? dc / di : 0.0);
-        const double dAcc = delta("l1i_accesses");
-        out.emplace_back("l1i_miss_rate",
-                         dAcc > 0.0 ? delta("l1i_misses") / dAcc
-                                    : 0.0);
-        const double activeFraction =
-            dc > 0.0 ? clamp01(delta("active_cycle_area") / dc)
-                     : 0.0;
-        out.emplace_back("active_fraction", activeFraction);
-        if (has("drowsy_cycle_area"))
-            out.emplace_back(
-                "drowsy_fraction",
-                dc > 0.0
-                    ? clamp01(delta("drowsy_cycle_area") / dc)
-                    : 0.0);
-        if (has("active_bytes"))
-            out.emplace_back("active_bytes",
-                             cur.at("active_bytes"));
-        else if (has("l1i_size_bytes"))
-            out.emplace_back("active_bytes",
-                             activeFraction *
-                                 cur.at("l1i_size_bytes"));
-        const double dL2 = delta("l2_accesses");
-        out.emplace_back("l2_miss_rate",
-                         dL2 > 0.0 ? delta("l2_misses") / dL2
-                                   : 0.0);
-        for (const char *name :
-             {"resizes", "wakes", "wake_stall_cycles",
-              "coherence_invalidations", "coherence_wakes",
-              "coherence_refetches"})
-            if (has(name))
-                out.emplace_back(name, delta(name));
-
-        metrics->record(obsSeries_ + "/core" + std::to_string(k),
-                        cs.instructions, std::move(out));
-        p.vals = std::move(cur);
-        p.instrs = cs.instructions;
+    const auto sample = [&](unsigned k) {
+        sampledAt[k] = cores_[k]->stats().instructions;
+        samplers[k].sample(sampledAt[k]);
     };
 
     while (true) {
@@ -373,11 +234,10 @@ CmpSystem::run(InstCount maxInstrsPerCore)
                 remaining[k] = 0;
             if (remaining[k] > 0)
                 pending = true;
-            if (metrics &&
-                cores_[k]->stats().instructions -
-                        obsPrev[k].instrs >=
-                    obsInterval)
-                sampleCore(k);
+            if (metrics && cores_[k]->stats().instructions -
+                                   sampledAt[k] >=
+                               metrics->interval())
+                sample(k);
         }
 
         // The shared resizable L2 belongs to no single core: its
@@ -407,50 +267,23 @@ CmpSystem::run(InstCount maxInstrsPerCore)
     // full interval still shows up in the series.
     if (metrics)
         for (unsigned k = 0; k < n; ++k)
-            if (cores_[k]->stats().instructions >
-                obsPrev[k].instrs)
-                sampleCore(k);
+            if (cores_[k]->stats().instructions > sampledAt[k])
+                sample(k);
 
     CmpRunOutput out;
     out.cores.resize(n);
+    const auto addMshrs = [&out](const auto &c) {
+        out.mshrCoalesced += c.mshrCoalesced();
+        out.mshrFullStalls += c.mshrFullStalls();
+        out.mshrPeakOccupancy =
+            std::max(out.mshrPeakOccupancy, c.mshrPeakOccupancy());
+    };
     for (unsigned k = 0; k < n; ++k) {
         CmpCoreOutput &c = out.cores[k];
         const CoreStats cs = cores_[k]->stats();
         c.meas.cycles = cs.cycles;
         c.meas.instructions = cs.instructions;
-        if (driL1is_[k]) {
-            const DriICache &ic = *driL1is_[k];
-            c.meas.l1iAccesses = ic.accesses();
-            c.meas.l1iMisses = ic.misses();
-            c.meas.avgActiveFraction = ic.averageActiveFraction();
-            c.meas.resizingTagBits = ic.params().resizingTagBits();
-            c.meas.l1iBytes = ic.params().sizeBytes;
-            c.resizes = ic.upsizes() + ic.downsizes();
-            c.throttleEvents = ic.controller().throttleEvents();
-        } else if (policyL1is_[k]) {
-            const LeakagePolicy &p = *policyL1is_[k];
-            const PolicyActivity act = p.activity();
-            c.meas.l1iAccesses = p.l1Accesses();
-            c.meas.l1iMisses = p.l1Misses();
-            c.meas.avgActiveFraction = act.avgActiveFraction;
-            c.meas.resizingTagBits = act.resizingTagBits;
-            c.meas.l1iBytes = hier_.l1i.sizeBytes;
-            c.resizes = act.resizes;
-            c.throttleEvents = act.throttleEvents;
-            c.l1DrowsyFraction = act.avgDrowsyFraction;
-            c.l1GatedFraction =
-                std::max(0.0, 1.0 - act.avgActiveFraction -
-                                  act.avgDrowsyFraction);
-            c.wakeTransitions = act.wakeTransitions;
-            c.wakeStallCycles = act.wakeStallCycles;
-        } else {
-            const Cache &ic = *convL1is_[k];
-            c.meas.l1iAccesses = ic.accesses();
-            c.meas.l1iMisses = ic.misses();
-            c.meas.avgActiveFraction = 1.0;
-            c.meas.resizingTagBits = 0;
-            c.meas.l1iBytes = hier_.l1i.sizeBytes;
-        }
+        fillL1iOutputs(l1is_[k], c);
         c.ipc = cs.ipc();
         c.l1dMissRate = l1ds_[k]->missRate();
         c.l2Accesses = bus_->accesses(k);
@@ -472,9 +305,6 @@ CmpSystem::run(InstCount maxInstrsPerCore)
                     policyL1is_[k]->activity();
                 c.coherenceWakes = act.coherenceWakes;
                 c.coherenceRefetches = act.coherenceRefetches;
-            } else if (driL1is_[k]) {
-                c.coherenceRefetches =
-                    driL1is_[k]->coherenceRefetches();
             }
         }
 
@@ -489,25 +319,15 @@ CmpSystem::run(InstCount maxInstrsPerCore)
         out.coherenceWritebacks += c.coherenceWritebacks;
         out.coherenceMsgCycles += c.coherenceMsgCycles;
 
-        // MSHR activity over this core's private levels (policy
-        // wrappers keep theirs in their own stat groups).
-        out.mshrCoalesced += l1ds_[k]->mshrCoalesced();
-        out.mshrFullStalls += l1ds_[k]->mshrFullStalls();
-        out.mshrPeakOccupancy = std::max(
-            out.mshrPeakOccupancy, l1ds_[k]->mshrPeakOccupancy());
-        if (convL1is_[k]) {
-            out.mshrCoalesced += convL1is_[k]->mshrCoalesced();
-            out.mshrFullStalls += convL1is_[k]->mshrFullStalls();
-            out.mshrPeakOccupancy =
-                std::max(out.mshrPeakOccupancy,
-                         convL1is_[k]->mshrPeakOccupancy());
-        } else if (driL1is_[k]) {
-            out.mshrCoalesced += driL1is_[k]->mshrCoalesced();
-            out.mshrFullStalls += driL1is_[k]->mshrFullStalls();
-            out.mshrPeakOccupancy =
-                std::max(out.mshrPeakOccupancy,
-                         driL1is_[k]->mshrPeakOccupancy());
-        }
+        // MSHR activity over this core's private levels: the L1D and
+        // a conventional or DRI L1I (the other policy caches keep
+        // theirs in their own stat groups).
+        addMshrs(*l1ds_[k]);
+        if (convL1is_[k])
+            addMshrs(*convL1is_[k]);
+        else if (l1is_[k].flavour == L1Flavour::Dri)
+            addMshrs(
+                static_cast<DriPolicy &>(*policyL1is_[k]).icache());
     }
     out.l2MissRate =
         out.l2Accesses == 0
@@ -520,16 +340,10 @@ CmpSystem::run(InstCount maxInstrsPerCore)
         out.l2AvgActiveFraction = driL2_->averageActiveFraction();
         out.l2ResizingTagBits = driL2_->params().resizingTagBits();
         out.l2Resizes = driL2_->upsizes() + driL2_->downsizes();
-        out.mshrCoalesced += driL2_->mshrCoalesced();
-        out.mshrFullStalls += driL2_->mshrFullStalls();
-        out.mshrPeakOccupancy = std::max(
-            out.mshrPeakOccupancy, driL2_->mshrPeakOccupancy());
+        addMshrs(*driL2_);
     } else {
         out.l2SizeBytes = hier_.l2.sizeBytes;
-        out.mshrCoalesced += convL2_->mshrCoalesced();
-        out.mshrFullStalls += convL2_->mshrFullStalls();
-        out.mshrPeakOccupancy = std::max(
-            out.mshrPeakOccupancy, convL2_->mshrPeakOccupancy());
+        addMshrs(*convL2_);
     }
     if (const CoherenceController *cc = bus_->coherence())
         out.directoryEvictions =
@@ -546,13 +360,37 @@ CmpSystem::run(InstCount maxInstrsPerCore)
     return out;
 }
 
-MainMemory &
-CmpSystem::mem()
+void
+CmpSystem::addCoreProbes(obs::MetricRegistry &reg, unsigned k)
 {
-    drisim_assert(mem_ != nullptr,
-                  "CMP was built with banked DRAM; use dram() or "
-                  "memAccesses()");
-    return *mem_;
+    addL1iProbes(reg, l1is_[k], *cores_[k]);
+    SharedL2Bus *bus = bus_.get();
+    reg.add("l2_accesses", [bus, k] {
+        return static_cast<double>(bus->accesses(k));
+    });
+    reg.add("l2_misses", [bus, k] {
+        return static_cast<double>(bus->misses(k));
+    });
+    const CoherenceController *cc = bus_->coherence();
+    if (!cc)
+        return;
+    reg.add("coherence_invalidations", [cc, k] {
+        return static_cast<double>(
+            cc->coreStats(k).invalidationsReceived);
+    });
+    // Drowsy lines can be woken by a probe, DRI's gated sets cannot;
+    // any leakage-managed L1I can refetch what a probe threw away.
+    const LeakagePolicy *policy = l1is_[k].policy;
+    if (l1is_[k].flavour == L1Flavour::Policy)
+        reg.add("coherence_wakes", [policy] {
+            return static_cast<double>(
+                policy->activity().coherenceWakes);
+        });
+    if (policy)
+        reg.add("coherence_refetches", [policy] {
+            return static_cast<double>(
+                policy->activity().coherenceRefetches);
+        });
 }
 
 std::uint64_t

@@ -1,17 +1,19 @@
 /**
  * @file
  * The chip-multiprocessor system: N cores, each with a private L1
- * i-cache (conventional or DRI) and L1 d-cache and its own workload,
- * sharing one unified L2 (conventional or resizable) and main
- * memory.
+ * i-cache (conventional or leakage-managed) and L1 d-cache and its
+ * own workload, sharing one unified L2 (conventional or resizable)
+ * and main memory. Each core's L1I is built, probed and reported as
+ * in the single-core runner (system/l1i.hh): a conventional Cache or
+ * a LeakagePolicy from makeLeakagePolicy, DRI included.
  *
  * The paper evaluates gated-Vdd resizing on a single core; leakage
  * pressure is worst where SRAM is largest and shared — the CMP
  * last-level cache (Safayenikoo et al.) and multi-level hierarchies
  * generally (Bai et al.; see docs/REPRODUCTION.md, Multiprogrammed
  * CMP study). CmpSystem opens that scenario family: multiprogrammed
- * mixes whose private DRI L1 i-caches compete for one shared
- * resizable L2.
+ * mixes whose private leakage-managed L1 i-caches compete for one
+ * shared resizable L2.
  *
  * Execution model: trace-driven cores are interleaved round-robin in
  * instruction quanta (each core keeps its own local clock; the
@@ -35,6 +37,7 @@
 #include "mem/directory.hh"
 #include "mem/hierarchy.hh"
 #include "policy/leakage_policy.hh"
+#include "system/l1i.hh"
 #include "workload/generator.hh"
 
 namespace drisim
@@ -55,10 +58,10 @@ struct CmpCoreConfig
 
     /**
      * Which leakage technique manages the L1I when dri is set.
-     * Dri takes driParams through the classic DriICache path
-     * (byte-identical to pre-policy builds); Decay/Drowsy/
-     * StaticWays take the matching knobs below (geometry still
-     * follows hier.l1i).
+     * Dri takes driParams and reports like the runner's runDri (no
+     * drowsy, gated or wake fields); Decay/Drowsy/StaticWays take
+     * the matching knobs below and report like runPolicy. Geometry
+     * always follows hier.l1i.
      */
     PolicyKind policyKind = PolicyKind::Dri;
     DecayParams decay{};
@@ -165,8 +168,9 @@ struct CmpRunOutput
     /** Demand-miss latency summed over cores (see CmpCoreOutput). */
     std::uint64_t l2MissLatencyCycles = 0;
 
-    /** MSHR activity summed over every cache level (zero when the
-     *  system runs the blocking default). */
+    /** MSHR activity summed over the L2 and each core's L1D and
+     *  conventional or DRI L1I; decay, drowsy and ways L1Is are left
+     *  out (zero when the system runs the blocking default). */
     std::uint64_t mshrCoalesced = 0;
     std::uint64_t mshrFullStalls = 0;
     std::uint64_t mshrPeakOccupancy = 0;
@@ -307,8 +311,8 @@ class SharedL2Port : public MemoryLevel
 /**
  * Owns the whole CMP: memory, the shared L2 (conventional or
  * resizable, per hier.l2Dri), the bus, and per core a port, an L1D,
- * an L1I (conventional or DRI, per CmpCoreConfig) and an OooCore
- * fed by its own trace generator.
+ * an L1I (conventional or leakage-managed, per CmpCoreConfig) and an
+ * OooCore fed by its own trace generator.
  */
 class CmpSystem
 {
@@ -339,21 +343,6 @@ class CmpSystem
     {
         return static_cast<unsigned>(cores_.size());
     }
-    OooCore &core(unsigned k) { return *cores_[k]; }
-    const SharedL2Bus &bus() const { return *bus_; }
-    /** Core @p k's policy L1I, or nullptr (conventional/DRI). */
-    LeakagePolicy *policyL1i(unsigned k)
-    {
-        return policyL1is_[k].get();
-    }
-    ResizableCache *driL2() { return driL2_.get(); }
-    Cache *convL2() { return convL2_.get(); }
-
-    /** The flat memory (fatal if banked DRAM was built). */
-    MainMemory &mem();
-
-    /** Banked DRAM if built, else nullptr. */
-    Dram *dram() { return dram_.get(); }
 
     /** Memory accesses regardless of flavour. */
     std::uint64_t memAccesses() const;
@@ -371,6 +360,10 @@ class CmpSystem
     }
 
   private:
+    /** Core @p k's interval probes: its L1I's, plus its share of the
+     *  bus's L2 traffic and, on coherent runs, its protocol counts. */
+    void addCoreProbes(obs::MetricRegistry &reg, unsigned k);
+
     CmpConfig cmp_;
     HierarchyParams hier_;
 
@@ -386,8 +379,9 @@ class CmpSystem
     std::vector<std::unique_ptr<SharedL2Port>> ports_;
     std::vector<std::unique_ptr<Cache>> l1ds_;
     std::vector<std::unique_ptr<Cache>> convL1is_;
-    std::vector<std::unique_ptr<DriICache>> driL1is_;
     std::vector<std::unique_ptr<LeakagePolicy>> policyL1is_;
+    /** Each core's L1I, whichever of the two above owns it. */
+    std::vector<L1iView> l1is_;
     std::vector<std::unique_ptr<OooCore>> cores_;
     std::vector<std::unique_ptr<TraceGenerator>> gens_;
 

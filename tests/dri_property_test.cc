@@ -26,14 +26,21 @@ namespace drisim
 namespace
 {
 
+/**
+ * gtest names each ctest ID after the raw bytes of this parameter.
+ * divisibility is 64-bit so the struct has no padding: padding bytes
+ * are uninitialised and made the IDs differ from run to run; with
+ * none, every byte and so every ID is the same in each run.
+ */
 struct Geometry
 {
     std::uint64_t sizeBytes;
     unsigned assoc;
     unsigned blockBytes;
     std::uint64_t sizeBound;
-    unsigned divisibility;
+    std::uint64_t divisibility;
 };
+static_assert(sizeof(Geometry) == 32, "Geometry must have no padding");
 
 class DriPropertyTest : public ::testing::TestWithParam<Geometry>
 {

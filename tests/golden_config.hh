@@ -45,18 +45,6 @@ struct GoldenCase
     const char *row;
 };
 
-/**
- * Print a GoldenCase by its benchmark name. Without this, gtest
- * dumps the raw object bytes into the listed test name, and those
- * begin with the benchmark pointer, which ASLR moves on every run —
- * so the ctest name discovered at build time would change per build.
- */
-inline void
-PrintTo(const GoldenCase &c, std::ostream *os)
-{
-    *os << c.benchmark;
-}
-
 /** Pinned expectations for one multi-level search benchmark. */
 struct MultiLevelGoldenCase
 {
@@ -155,6 +143,43 @@ struct PolicyGoldenCase
     const char *drowsyRow;
     const char *waysRow;
 };
+
+/**
+ * Print each golden case by its benchmark or mix name. Without these,
+ * gtest dumps the raw object bytes into the listed test name, and
+ * those begin with the name pointer, which ASLR moves on every run,
+ * and carry uninitialised padding — so the ctest name discovered at
+ * build time would change per build.
+ */
+inline void
+PrintTo(const GoldenCase &c, std::ostream *os)
+{
+    *os << c.benchmark;
+}
+
+inline void
+PrintTo(const MultiLevelGoldenCase &c, std::ostream *os)
+{
+    *os << c.benchmark;
+}
+
+inline void
+PrintTo(const CmpGoldenCase &c, std::ostream *os)
+{
+    *os << c.mix;
+}
+
+inline void
+PrintTo(const CoherentCmpGoldenCase &c, std::ostream *os)
+{
+    *os << c.mix;
+}
+
+inline void
+PrintTo(const PolicyGoldenCase &c, std::ostream *os)
+{
+    *os << c.benchmark;
+}
 
 /** The fixed single-level golden run (Section 5.3 search). */
 inline SearchResult

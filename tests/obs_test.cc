@@ -17,6 +17,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -317,6 +318,46 @@ TEST(MetricsReconstruction, DrowsyWakeDeltasIntegrateToTotal)
     EXPECT_EQ(static_cast<std::uint64_t>(wakeSum),
               out.wakeTransitions);
     EXPECT_GT(out.wakeTransitions, 0u);
+}
+
+TEST(MetricsReconstruction, ConventionalL1iReadsFullyActiveEverywhere)
+{
+    // One L1I probe set serves every system: a conventional L1I is
+    // fully powered, so its rows read active_fraction 1 in detailed,
+    // fast and CMP series alike.
+    PinnedClock pin;
+    obs::initMetrics(tempPath("obs_conv.metrics.csv"), 50 * 1000);
+
+    const BenchmarkInfo &bench = findBenchmark("compress");
+    const RunConfig cfg = shortConfig();
+    const RunOutput detailed = runConventional(bench, cfg);
+    runConventionalFast(bench, cfg,
+                        calibrateFast(bench, cfg, detailed));
+    CmpConfig cmp;
+    cmp.cores = 2;
+    runCmp(cfg, cmp, "compress");
+
+    obs::MetricsCsv csv;
+    std::string err;
+    ASSERT_TRUE(
+        obs::parseMetricsCsvText(obs::metrics()->renderCsv(), csv,
+                                 err))
+        << err;
+    const int frac = csv.column("active_fraction");
+    const int bytes = csv.column("active_bytes");
+    ASSERT_GE(frac, 0);
+    ASSERT_GE(bytes, 0);
+    std::set<std::string> kinds;
+    for (const auto &row : csv.rows) {
+        SCOPED_TRACE(row.series);
+        kinds.insert(row.series.substr(0, row.series.find('#')));
+        EXPECT_EQ(row.values[frac], 1.0);
+        EXPECT_EQ(row.values[bytes],
+                  static_cast<double>(cfg.hier.l1i.sizeBytes));
+    }
+    EXPECT_EQ(kinds,
+              (std::set<std::string>{"compress/cmp", "compress/conv",
+                                     "compress/conv-fast"}));
 }
 
 TEST(MetricsReconstruction, MeteredRunMatchesUnmeteredResults)

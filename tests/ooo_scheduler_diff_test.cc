@@ -147,7 +147,7 @@ runSingle(const BenchmarkInfo &bench, bool dri, bool banked)
     RecordingLevel recI(l1i);
     RecordingLevel recD(&hier.l1d());
     CoreT core(OooParams{}, &recI, &recD, &root);
-    core.setDri(icache.get());
+    core.addResizable(icache.get());
 
     TraceGenerator gen(programImageFor(bench));
     const CoreStats cs = core.run(gen, kInstrs);

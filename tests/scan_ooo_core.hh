@@ -48,12 +48,6 @@ class ScanOooCore : public Core
                 MemoryLevel *dcache, stats::StatGroup *parent);
 
     /**
-     * Attach a DRI i-cache for retirement notifications and active-
-     * size integration (pass nullptr for conventional runs).
-     */
-    void setDri(DriICache *dri) { addResizable(dri); }
-
-    /**
      * Run until @p stream ends or @p maxInstrs commit. Resumable
      * (Core contract): state persists across calls.
      * @return cumulative cycles and instructions executed
