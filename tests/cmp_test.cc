@@ -16,6 +16,7 @@
 #include <fstream>
 #include <sstream>
 #include <type_traits>
+#include <vector>
 
 #include "harness/multilevel.hh"
 #include "harness/runner.hh"
@@ -27,32 +28,80 @@ namespace drisim
 namespace
 {
 
+/**
+ * The memory sides every cores=1 test runs: @p base, and a busy one
+ * over it with banked DRAM, L1I/L1D/L2 MSHRs 2/2/4 and a DRI L2
+ * sensing every 50 K instructions.
+ */
+std::vector<HierarchyParams>
+memorySides(const HierarchyParams &base)
+{
+    HierarchyParams busy = base;
+    busy.dram.banked = true;
+    busy.l1i.mshrs = 2;
+    busy.l1d.mshrs = 2;
+    busy.l2.mshrs = 4;
+    busy.l2Dri = true;
+    busy.l2DriParams = HierarchyParams::defaultL2DriParams();
+    busy.l2DriParams.senseInterval = 50000;
+    return {base, busy};
+}
+
+/** Every memory-side field a CMP run and a runner run both carry. */
+void
+expectSameMemorySide(const CmpRunOutput &out, const RunOutput &single)
+{
+    EXPECT_EQ(out.l2Accesses, single.l2Accesses);
+    EXPECT_EQ(out.l2Misses, single.l2Misses);
+    EXPECT_EQ(out.l2MissRate, single.l2MissRate);
+    EXPECT_EQ(out.memAccesses, single.memAccesses);
+    EXPECT_EQ(out.l2SizeBytes, single.l2SizeBytes);
+    EXPECT_EQ(out.l2AvgActiveFraction, single.l2AvgActiveFraction);
+    EXPECT_EQ(out.l2ResizingTagBits, single.l2ResizingTagBits);
+    EXPECT_EQ(out.l2Resizes, single.l2Resizes);
+    EXPECT_EQ(out.mshrCoalesced, single.mshrCoalesced);
+    EXPECT_EQ(out.mshrFullStalls, single.mshrFullStalls);
+    EXPECT_EQ(out.mshrPeakOccupancy, single.mshrPeakOccupancy);
+    EXPECT_EQ(out.dramRowHits, single.dramRowHits);
+    EXPECT_EQ(out.dramRowMisses, single.dramRowMisses);
+    EXPECT_EQ(out.dramQueueFullEvents, single.dramQueueFullEvents);
+    EXPECT_EQ(out.dramBusyCycles, single.dramBusyCycles);
+    // On the busy side the compared counters must be live.
+    if (single.dramBusyCycles > 0) {
+        EXPECT_GT(single.mshrCoalesced, 0u);
+        EXPECT_GT(single.dramRowHits, 0u);
+        EXPECT_GT(single.l2Resizes, 0u);
+    }
+}
+
 TEST(CmpSystem, SingleCoreConventionalMatchesRunnerBitForBit)
 {
     const BenchmarkInfo &b = findBenchmark("compress");
     RunConfig cfg;
     cfg.maxInstrs = 400 * 1000;
-    const RunOutput single = runConventional(b, cfg);
+    for (const HierarchyParams &hp : memorySides(cfg.hier)) {
+        SCOPED_TRACE(hp.dram.banked ? "busy memory side"
+                                    : "default memory side");
+        cfg.hier = hp;
+        const RunOutput single = runConventional(b, cfg);
 
-    CmpConfig cmp;
-    cmp.cores = 1; // default core config: conventional L1I
-    const CmpRunOutput out = runCmp(cfg, cmp, "compress");
+        CmpConfig cmp;
+        cmp.cores = 1; // default core config: conventional L1I
+        const CmpRunOutput out = runCmp(cfg, cmp, "compress");
 
-    ASSERT_EQ(out.cores.size(), 1u);
-    const CmpCoreOutput &c = out.cores[0];
-    EXPECT_EQ(c.bench, "compress");
-    EXPECT_EQ(c.meas.cycles, single.meas.cycles);
-    EXPECT_EQ(c.meas.instructions, single.meas.instructions);
-    EXPECT_EQ(c.meas.l1iAccesses, single.meas.l1iAccesses);
-    EXPECT_EQ(c.meas.l1iMisses, single.meas.l1iMisses);
-    EXPECT_EQ(c.ipc, single.ipc);
-    EXPECT_EQ(c.l1dMissRate, single.l1dMissRate);
-    EXPECT_EQ(out.systemCycles, single.meas.cycles);
-    EXPECT_EQ(out.l2Accesses, single.l2Accesses);
-    EXPECT_EQ(out.l2Misses, single.l2Misses);
-    EXPECT_EQ(out.l2MissRate, single.l2MissRate);
-    EXPECT_EQ(out.memAccesses, single.memAccesses);
-    EXPECT_EQ(out.l2ContentionEvents, 0u);
+        ASSERT_EQ(out.cores.size(), 1u);
+        const CmpCoreOutput &c = out.cores[0];
+        EXPECT_EQ(c.bench, "compress");
+        EXPECT_EQ(c.meas.cycles, single.meas.cycles);
+        EXPECT_EQ(c.meas.instructions, single.meas.instructions);
+        EXPECT_EQ(c.meas.l1iAccesses, single.meas.l1iAccesses);
+        EXPECT_EQ(c.meas.l1iMisses, single.meas.l1iMisses);
+        EXPECT_EQ(c.ipc, single.ipc);
+        EXPECT_EQ(c.l1dMissRate, single.l1dMissRate);
+        EXPECT_EQ(out.systemCycles, single.meas.cycles);
+        expectSameMemorySide(out, single);
+        EXPECT_EQ(out.l2ContentionEvents, 0u);
+    }
 }
 
 TEST(CmpSystem, SingleCoreDriWithDriL2MatchesRunnerBitForBit)
@@ -69,39 +118,38 @@ TEST(CmpSystem, SingleCoreDriWithDriL2MatchesRunnerBitForBit)
     dri.senseInterval = 50000;
     dri.sizeBoundBytes = 4096;
     dri.missBound = 300;
-    const DriParams resolved =
-        driParamsForLevel(cfg.hier.l1i, dri);
-
     const BenchmarkInfo &b = findBenchmark("li");
-    const RunOutput single = runDri(b, cfg, resolved);
+    for (const HierarchyParams &hp : memorySides(cfg.hier)) {
+        SCOPED_TRACE(hp.dram.banked ? "busy memory side"
+                                    : "default memory side");
+        cfg.hier = hp;
+        const DriParams resolved =
+            driParamsForLevel(cfg.hier.l1i, dri);
+        const RunOutput single = runDri(b, cfg, resolved);
 
-    CmpConfig cmp;
-    cmp.cores = 1;
-    CmpCoreConfig core;
-    core.bench = "li";
-    core.dri = true;
-    core.driParams = dri;
-    cmp.coreConfigs.push_back(core);
-    const CmpRunOutput out = runCmp(cfg, cmp, "li");
+        CmpConfig cmp;
+        cmp.cores = 1;
+        CmpCoreConfig core;
+        core.bench = "li";
+        core.dri = true;
+        core.driParams = dri;
+        cmp.coreConfigs.push_back(core);
+        const CmpRunOutput out = runCmp(cfg, cmp, "li");
 
-    ASSERT_EQ(out.cores.size(), 1u);
-    const CmpCoreOutput &c = out.cores[0];
-    EXPECT_EQ(c.meas.cycles, single.meas.cycles);
-    EXPECT_EQ(c.meas.instructions, single.meas.instructions);
-    EXPECT_EQ(c.meas.l1iAccesses, single.meas.l1iAccesses);
-    EXPECT_EQ(c.meas.l1iMisses, single.meas.l1iMisses);
-    EXPECT_EQ(c.meas.avgActiveFraction,
-              single.meas.avgActiveFraction);
-    EXPECT_EQ(c.meas.resizingTagBits, single.meas.resizingTagBits);
-    EXPECT_EQ(c.resizes, single.resizes);
-    EXPECT_EQ(c.throttleEvents, single.throttleEvents);
-    EXPECT_EQ(out.l2Accesses, single.l2Accesses);
-    EXPECT_EQ(out.l2Misses, single.l2Misses);
-    EXPECT_EQ(out.memAccesses, single.memAccesses);
-    EXPECT_EQ(out.l2SizeBytes, single.l2SizeBytes);
-    EXPECT_EQ(out.l2AvgActiveFraction, single.l2AvgActiveFraction);
-    EXPECT_EQ(out.l2ResizingTagBits, single.l2ResizingTagBits);
-    EXPECT_EQ(out.l2Resizes, single.l2Resizes);
+        ASSERT_EQ(out.cores.size(), 1u);
+        const CmpCoreOutput &c = out.cores[0];
+        EXPECT_EQ(c.meas.cycles, single.meas.cycles);
+        EXPECT_EQ(c.meas.instructions, single.meas.instructions);
+        EXPECT_EQ(c.meas.l1iAccesses, single.meas.l1iAccesses);
+        EXPECT_EQ(c.meas.l1iMisses, single.meas.l1iMisses);
+        EXPECT_EQ(c.meas.avgActiveFraction,
+                  single.meas.avgActiveFraction);
+        EXPECT_EQ(c.meas.resizingTagBits,
+                  single.meas.resizingTagBits);
+        EXPECT_EQ(c.resizes, single.resizes);
+        EXPECT_EQ(c.throttleEvents, single.throttleEvents);
+        expectSameMemorySide(out, single);
+    }
 }
 
 TEST(CmpSystem, SingleCoreDrowsyPolicyMatchesRunnerBitForBit)
@@ -113,45 +161,48 @@ TEST(CmpSystem, SingleCoreDrowsyPolicyMatchesRunnerBitForBit)
     cfg.maxInstrs = 400 * 1000;
     DrowsyParams drowsy;
     drowsy.drowsyInterval = 50 * 1000;
-    PolicyConfig pc;
-    pc.kind = PolicyKind::Drowsy;
-    pc.dri = driParamsForLevel(cfg.hier.l1i, DriParams{});
-    pc.drowsy = drowsy;
-
     const BenchmarkInfo &b = findBenchmark("li");
-    const RunOutput single = runPolicy(b, cfg, pc);
+    for (const HierarchyParams &hp : memorySides(cfg.hier)) {
+        SCOPED_TRACE(hp.dram.banked ? "busy memory side"
+                                    : "default memory side");
+        cfg.hier = hp;
+        PolicyConfig pc;
+        pc.kind = PolicyKind::Drowsy;
+        pc.dri = driParamsForLevel(cfg.hier.l1i, DriParams{});
+        pc.drowsy = drowsy;
+        const RunOutput single = runPolicy(b, cfg, pc);
 
-    CmpConfig cmp;
-    cmp.cores = 1;
-    CmpCoreConfig core;
-    core.bench = "li";
-    core.dri = true;
-    core.policyKind = PolicyKind::Drowsy;
-    core.drowsy = drowsy;
-    cmp.coreConfigs.push_back(core);
-    const CmpRunOutput out = runCmp(cfg, cmp, "li");
+        CmpConfig cmp;
+        cmp.cores = 1;
+        CmpCoreConfig core;
+        core.bench = "li";
+        core.dri = true;
+        core.policyKind = PolicyKind::Drowsy;
+        core.drowsy = drowsy;
+        cmp.coreConfigs.push_back(core);
+        const CmpRunOutput out = runCmp(cfg, cmp, "li");
 
-    ASSERT_EQ(out.cores.size(), 1u);
-    const CmpCoreOutput &c = out.cores[0];
-    EXPECT_EQ(c.meas.cycles, single.meas.cycles);
-    EXPECT_EQ(c.meas.instructions, single.meas.instructions);
-    EXPECT_EQ(c.meas.l1iAccesses, single.meas.l1iAccesses);
-    EXPECT_EQ(c.meas.l1iMisses, single.meas.l1iMisses);
-    EXPECT_EQ(c.meas.avgActiveFraction,
-              single.meas.avgActiveFraction);
-    EXPECT_EQ(c.meas.resizingTagBits, single.meas.resizingTagBits);
-    EXPECT_EQ(c.meas.l1iBytes, single.meas.l1iBytes);
-    EXPECT_EQ(c.ipc, single.ipc);
-    EXPECT_EQ(c.l1dMissRate, single.l1dMissRate);
-    EXPECT_EQ(c.resizes, single.resizes);
-    EXPECT_EQ(c.throttleEvents, single.throttleEvents);
-    EXPECT_EQ(c.l1DrowsyFraction, single.l1DrowsyFraction);
-    EXPECT_EQ(c.wakeTransitions, single.wakeTransitions);
-    EXPECT_EQ(c.wakeStallCycles, single.wakeStallCycles);
-    EXPECT_GT(c.wakeTransitions, 0u);
-    EXPECT_EQ(out.l2Accesses, single.l2Accesses);
-    EXPECT_EQ(out.l2Misses, single.l2Misses);
-    EXPECT_EQ(out.memAccesses, single.memAccesses);
+        ASSERT_EQ(out.cores.size(), 1u);
+        const CmpCoreOutput &c = out.cores[0];
+        EXPECT_EQ(c.meas.cycles, single.meas.cycles);
+        EXPECT_EQ(c.meas.instructions, single.meas.instructions);
+        EXPECT_EQ(c.meas.l1iAccesses, single.meas.l1iAccesses);
+        EXPECT_EQ(c.meas.l1iMisses, single.meas.l1iMisses);
+        EXPECT_EQ(c.meas.avgActiveFraction,
+                  single.meas.avgActiveFraction);
+        EXPECT_EQ(c.meas.resizingTagBits,
+                  single.meas.resizingTagBits);
+        EXPECT_EQ(c.meas.l1iBytes, single.meas.l1iBytes);
+        EXPECT_EQ(c.ipc, single.ipc);
+        EXPECT_EQ(c.l1dMissRate, single.l1dMissRate);
+        EXPECT_EQ(c.resizes, single.resizes);
+        EXPECT_EQ(c.throttleEvents, single.throttleEvents);
+        EXPECT_EQ(c.l1DrowsyFraction, single.l1DrowsyFraction);
+        EXPECT_EQ(c.wakeTransitions, single.wakeTransitions);
+        EXPECT_EQ(c.wakeStallCycles, single.wakeStallCycles);
+        EXPECT_GT(c.wakeTransitions, 0u);
+        expectSameMemorySide(out, single);
+    }
 }
 
 TEST(CmpSystem, AttributionSumsAndContentionFiresWithSharers)
@@ -170,7 +221,8 @@ TEST(CmpSystem, AttributionSumsAndContentionFiresWithSharers)
     EXPECT_EQ(out.cores[0].bench, "compress");
     EXPECT_EQ(out.cores[1].bench, "li");
 
-    // Attribution partitions the shared traffic.
+    // The bus's per-core attributions partition the L2's own counts:
+    // no shared access or miss is lost or counted twice.
     EXPECT_EQ(out.cores[0].l2Accesses + out.cores[1].l2Accesses,
               out.l2Accesses);
     EXPECT_EQ(out.cores[0].l2Misses + out.cores[1].l2Misses,
