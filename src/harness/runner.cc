@@ -116,50 +116,6 @@ imageFor(const BenchmarkInfo &bench)
     return imageCache().get(bench);
 }
 
-/**
- * Copy the L2 view of a finished run into @p out, whatever flavour
- * of L2 the hierarchy was built with.
- */
-void
-fillL2Outputs(Hierarchy &hier, RunOutput &out)
-{
-    // MSHR activity sums over the L2, the L1D and a conventional L1I
-    // (a policy-managed or DRI L1I's MSHRs are left out); the peak is
-    // the max.
-    const auto addMshrs = [&out](const auto &c) {
-        out.mshrCoalesced += c.mshrCoalesced();
-        out.mshrFullStalls += c.mshrFullStalls();
-        out.mshrFullStallCycles += c.mshrFullStallCycles();
-        out.mshrPeakOccupancy =
-            std::max(out.mshrPeakOccupancy, c.mshrPeakOccupancy());
-    };
-    out.l2MissRate = hier.l2MissRate();
-    out.l2Accesses = hier.l2Accesses();
-    out.l2Misses = hier.l2Misses();
-    out.memAccesses = hier.memAccesses();
-    out.memReads = hier.memReads();
-    out.memWritebacks = hier.memWritebacks();
-    if (Dram *d = hier.dram()) {
-        out.dramRowHits = d->rowHits();
-        out.dramRowMisses = d->rowMisses();
-        out.dramQueueFullEvents = d->queueFullEvents();
-        out.dramBusyCycles = d->busyCycles();
-    }
-    if (ResizableCache *l2 = hier.driL2()) {
-        out.l2SizeBytes = l2->params().sizeBytes;
-        out.l2AvgActiveFraction = l2->averageActiveFraction();
-        out.l2ResizingTagBits = l2->params().resizingTagBits();
-        out.l2Resizes = l2->upsizes() + l2->downsizes();
-        addMshrs(*l2);
-    } else {
-        out.l2SizeBytes = hier.params().l2.sizeBytes;
-        addMshrs(hier.l2());
-    }
-    addMshrs(hier.l1d());
-    if (Cache *l1i = hier.convL1i())
-        addMshrs(*l1i);
-}
-
 // ------------------------------------------------------------------
 // Canonical run keys (see runner.hh: every result-bearing knob, no
 // execution-strategy knobs)
@@ -700,7 +656,8 @@ runL1(const BenchmarkInfo &bench, const RunConfig &config,
         out.ipc = cs.ipc();
         // The fast model never touches the L1D, so this stays 0 there.
         out.l1dMissRate = hier.l1d().missRate();
-        fillL2Outputs(hier, out);
+        fillMemoryOutputs(hier, out);
+        addCoreMshrs(hier.l1d(), l1i, out);
         return out;
     });
 }

@@ -114,6 +114,11 @@ class Cache : public MemoryLevel, public CoherenceClient
     {
         return mshrPeak_.value();
     }
+    MshrCounters mshrCounters() const override
+    {
+        return {mshrCoalesced(), mshrFullStalls(), mshrFullStallCycles(),
+                mshrPeakOccupancy()};
+    }
     /** The in-flight miss registers (stale entries prune lazily). */
     const MshrFile &mshrFile() const { return mshr_; }
 

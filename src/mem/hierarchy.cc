@@ -1,7 +1,8 @@
 /**
  * @file
- * Assembles the Table 1 memory system: L1I (conventional or DRI),
- * L1D, unified L2 (conventional or DRI), main memory.
+ * Assembles the Table 1 memory system: main memory (flat or banked)
+ * and the unified L2 (conventional or DRI) as a MemorySide, and the
+ * single-core L1D and conventional L1I over it.
  */
 
 #include "mem/hierarchy.hh"
@@ -45,88 +46,94 @@ driParamsForLevel(const CacheParams &level, const DriParams &dri)
     return p;
 }
 
-Hierarchy::Hierarchy(const HierarchyParams &params,
-                     stats::StatGroup *parent, bool buildConvL1i)
-    : params_(params)
+MemorySide::MemorySide(const HierarchyParams &params,
+                       stats::StatGroup *parent)
 {
+    MemoryLevel *memLevel = nullptr;
     if (params.dram.banked) {
         dram_ = std::make_unique<Dram>(params.dram,
                                        params.l2.blockBytes, parent);
-        memLevel_ = dram_.get();
+        memLevel = dram_.get();
     } else {
         mem_ = std::make_unique<MainMemory>(params.l2.blockBytes,
                                             parent);
-        memLevel_ = mem_.get();
+        memLevel = mem_.get();
     }
     if (params.l2Dri) {
         driL2_ = std::make_unique<ResizableCache>(
             driParamsForLevel(params.l2, params.l2DriParams),
-            ResizePolicy::writeback(), memLevel_, parent, "dri_l2");
+            ResizePolicy::writeback(), memLevel, parent, "dri_l2");
         l2Level_ = driL2_.get();
     } else {
-        l2_ = std::make_unique<Cache>(params.l2, memLevel_, parent);
+        l2_ = std::make_unique<Cache>(params.l2, memLevel, parent);
         l2Level_ = l2_.get();
-    }
-    l1d_ = std::make_unique<Cache>(params.l1d, l2Level_, parent);
-    if (buildConvL1i) {
-        convL1i_ = std::make_unique<Cache>(params.l1i, l2Level_,
-                                           parent);
-        l1i_ = convL1i_.get();
     }
 }
 
 MainMemory &
-Hierarchy::mem()
+MemorySide::mem()
 {
     drisim_assert(mem_ != nullptr,
-                  "hierarchy was built with banked DRAM; use "
-                  "memLevel()/dram() or memAccesses()");
+                  "memory side was built with banked DRAM; use "
+                  "dram() or memAccesses()");
     return *mem_;
 }
 
 std::uint64_t
-Hierarchy::memAccesses() const
+MemorySide::memAccesses() const
 {
     return mem_ ? mem_->accesses() : dram_->accesses();
 }
 
 std::uint64_t
-Hierarchy::memReads() const
+MemorySide::memReads() const
 {
     return mem_ ? mem_->reads() : dram_->reads();
 }
 
 std::uint64_t
-Hierarchy::memWritebacks() const
+MemorySide::memWritebacks() const
 {
     return mem_ ? mem_->writebacks() : dram_->writebacks();
 }
 
 Cache &
-Hierarchy::l2()
+MemorySide::l2()
 {
     drisim_assert(l2_ != nullptr,
-                  "hierarchy was built with a DRI L2; use "
+                  "memory side was built with a DRI L2; use "
                   "convL2()/driL2()");
     return *l2_;
 }
 
 std::uint64_t
-Hierarchy::l2Accesses() const
+MemorySide::l2Accesses() const
 {
     return l2_ ? l2_->accesses() : driL2_->accesses();
 }
 
 std::uint64_t
-Hierarchy::l2Misses() const
+MemorySide::l2Misses() const
 {
     return l2_ ? l2_->misses() : driL2_->misses();
 }
 
 double
-Hierarchy::l2MissRate() const
+MemorySide::l2MissRate() const
 {
     return l2_ ? l2_->missRate() : driL2_->missRate();
+}
+
+Hierarchy::Hierarchy(const HierarchyParams &params,
+                     stats::StatGroup *parent, bool buildConvL1i)
+    : MemorySide(params, parent)
+{
+    l1d_ = std::make_unique<Cache>(params.l1d, l2Level(), parent);
+    if (buildConvL1i) {
+        convL1i_ = std::make_unique<Cache>(params.l1i, l2Level(),
+                                           parent);
+        l1i_ = convL1i_.get();
+    }
 }
 
 } // namespace drisim

@@ -1,12 +1,14 @@
 /**
  * @file
- * The Table 1 memory system: L1 i-cache (conventional or DRI),
- * L1 d-cache, unified L2 (conventional or DRI), main memory.
+ * The Table 1 memory system: MemorySide (main memory, flat or
+ * banked, and the unified L2, conventional or DRI) and Hierarchy,
+ * which adds one core's L1 d-cache and L1 i-cache over it.
  */
 
 #ifndef DRISIM_MEM_HIERARCHY_HH
 #define DRISIM_MEM_HIERARCHY_HH
 
+#include <algorithm>
 #include <memory>
 
 #include "stats/stats.hh"
@@ -60,42 +62,22 @@ DriParams driParamsForLevel(const CacheParams &level,
                             const DriParams &dri);
 
 /**
- * Owns memory + L2 + L1D and (optionally) a conventional L1I.
- * The L1I slot is a MemoryLevel pointer so a DRI i-cache can be
- * substituted by the caller; the L2 slot is built either as a
- * conventional Cache or as a ResizableCache (params.l2Dri).
+ * The levels below the L1s: main memory (MainMemory, or Dram when
+ * params.dram.banked) and the unified L2 (Cache, or ResizableCache
+ * when params.l2Dri). Hierarchy and the CMP (system/cmp.hh) both
+ * build theirs as one; fillMemoryOutputs reports it.
  */
-class Hierarchy
+class MemorySide
 {
   public:
-    /**
-     * @param params         cache geometries (+ per-level DRI knobs)
-     * @param parent         stats parent
-     * @param buildConvL1i   when true, construct a conventional L1I;
-     *                       when false the caller installs its own
-     *                       (e.g. a DriICache) via setL1I()
-     */
-    Hierarchy(const HierarchyParams &params, stats::StatGroup *parent,
-              bool buildConvL1i = true);
-
-    /** Install a caller-owned L1 i-cache (e.g. DRI). */
-    void setL1I(MemoryLevel *l1i) { l1i_ = l1i; }
-
-    MemoryLevel *l1i() { return l1i_; }
-    Cache &l1d() { return *l1d_; }
+    MemorySide(const HierarchyParams &params, stats::StatGroup *parent);
 
     /** The flat memory (fatal if banked DRAM was built — use
-     *  memLevel()/dram() or the flavour-agnostic counters). */
+     *  dram() or the flavour-agnostic counters). */
     MainMemory &mem();
 
-    /** The terminal level, whatever flavour was built. */
-    MemoryLevel *memLevel() { return memLevel_; }
-
-    /** Flat memory if built, else nullptr. */
-    MainMemory *flatMem() { return mem_.get(); }
-
     /** Banked DRAM if built, else nullptr. */
-    Dram *dram() { return dram_.get(); }
+    Dram *dram() const { return dram_.get(); }
 
     /** Memory accesses/reads/writebacks regardless of flavour. */
     std::uint64_t memAccesses() const;
@@ -103,17 +85,17 @@ class Hierarchy
     std::uint64_t memWritebacks() const;
 
     /** The L2 as a plain MemoryLevel, whatever flavour was built. */
-    MemoryLevel *l2Level() { return l2Level_; }
+    MemoryLevel *l2Level() const { return l2Level_; }
 
     /** Conventional L2 if one was built, else nullptr. */
-    Cache *convL2() { return l2_.get(); }
+    Cache *convL2() const { return l2_.get(); }
 
     /** DRI L2 if one was built, else nullptr. */
-    ResizableCache *driL2() { return driL2_.get(); }
+    ResizableCache *driL2() const { return driL2_.get(); }
 
     /**
-     * The conventional L2 (fatal if the hierarchy was built with a
-     * DRI L2 — use convL2()/driL2() in flavour-aware code).
+     * The conventional L2 (fatal if the L2 is a DRI one — use
+     * convL2()/driL2() in flavour-aware code).
      */
     Cache &l2();
 
@@ -124,10 +106,101 @@ class Hierarchy
     /** L2 miss rate regardless of flavour. */
     double l2MissRate() const;
 
+  protected:
+    /** Serialize memory and the L2 (either flavour): the first part
+     *  of Hierarchy's "hier" checkpoint section. */
+    void snapshotMemoryTo(sim::CheckpointWriter &w) const;
+    void restoreMemoryFrom(sim::CheckpointReader &r);
+
+  private:
+    std::unique_ptr<MainMemory> mem_;
+    std::unique_ptr<Dram> dram_;
+    std::unique_ptr<Cache> l2_;
+    std::unique_ptr<ResizableCache> driL2_;
+    MemoryLevel *l2Level_ = nullptr;
+};
+
+/**
+ * Add one level's MSHR counters to a run's totals (RunOutput or
+ * CmpRunOutput): the counts sum, the peak is the max.
+ */
+template <typename Out>
+void
+addMshrCounters(const MshrCounters &m, Out &out)
+{
+    out.mshrCoalesced += m.coalesced;
+    out.mshrFullStalls += m.fullStalls;
+    if constexpr (requires { out.mshrFullStallCycles; })
+        out.mshrFullStallCycles += m.fullStallCycles;
+    out.mshrPeakOccupancy =
+        std::max(out.mshrPeakOccupancy, m.peakOccupancy);
+}
+
+/**
+ * Fill the memory-side fields of a finished run's output (RunOutput
+ * or CmpRunOutput): L2 counts, size and activity, memory and DRAM
+ * counts, and the L2's MSHRs (addCoreMshrs adds the L1s').
+ */
+template <typename Out>
+void
+fillMemoryOutputs(const MemorySide &mem, Out &out)
+{
+    out.l2Accesses = mem.l2Accesses();
+    out.l2Misses = mem.l2Misses();
+    out.l2MissRate = mem.l2MissRate();
+    out.memAccesses = mem.memAccesses();
+    if constexpr (requires { out.memReads; }) {
+        out.memReads = mem.memReads();
+        out.memWritebacks = mem.memWritebacks();
+    }
+    if (const ResizableCache *l2 = mem.driL2()) {
+        out.l2SizeBytes = l2->params().sizeBytes;
+        out.l2AvgActiveFraction = l2->averageActiveFraction();
+        out.l2ResizingTagBits = l2->params().resizingTagBits();
+        out.l2Resizes = l2->upsizes() + l2->downsizes();
+    } else {
+        out.l2SizeBytes = mem.convL2()->params().sizeBytes;
+    }
+    addMshrCounters(mem.l2Level()->mshrCounters(), out);
+    if (const Dram *d = mem.dram()) {
+        out.dramRowHits = d->rowHits();
+        out.dramRowMisses = d->rowMisses();
+        out.dramQueueFullEvents = d->queueFullEvents();
+        out.dramBusyCycles = d->busyCycles();
+        if constexpr (requires { out.dramBankRowHits; }) {
+            out.dramBankRowHits.resize(d->params().banks);
+            for (unsigned b = 0; b < d->params().banks; ++b)
+                out.dramBankRowHits[b] = d->rowHitsForBank(b);
+        }
+    }
+}
+
+/**
+ * The single-core memory system: a MemorySide plus one core's L1D
+ * and L1I. The L1I is a conventional Cache, or the caller installs
+ * its own (the runner installs a LeakagePolicy's level()).
+ */
+class Hierarchy : public MemorySide
+{
+  public:
+    /**
+     * @param params         cache geometries (+ per-level DRI knobs)
+     * @param parent         stats parent
+     * @param buildConvL1i   when true, construct a conventional L1I;
+     *                       when false the caller installs its own
+     *                       via setL1I()
+     */
+    Hierarchy(const HierarchyParams &params, stats::StatGroup *parent,
+              bool buildConvL1i = true);
+
+    /** Install a caller-owned L1 i-cache (e.g. a policy's level). */
+    void setL1I(MemoryLevel *l1i) { l1i_ = l1i; }
+
+    MemoryLevel *l1i() { return l1i_; }
+    Cache &l1d() { return *l1d_; }
+
     /** Conventional L1I if one was built, else nullptr. */
     Cache *convL1i() { return convL1i_.get(); }
-
-    const HierarchyParams &params() const { return params_; }
 
     /** Serialize every owned level — memory, L2 (either flavour),
      *  L1D, and the conventional L1I when one was built. A
@@ -137,13 +210,6 @@ class Hierarchy
     void restoreFrom(sim::CheckpointReader &r);
 
   private:
-    HierarchyParams params_;
-    std::unique_ptr<MainMemory> mem_;
-    std::unique_ptr<Dram> dram_;
-    MemoryLevel *memLevel_ = nullptr;
-    std::unique_ptr<Cache> l2_;
-    std::unique_ptr<ResizableCache> driL2_;
-    MemoryLevel *l2Level_ = nullptr;
     std::unique_ptr<Cache> l1d_;
     std::unique_ptr<Cache> convL1i_;
     MemoryLevel *l1i_ = nullptr;

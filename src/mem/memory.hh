@@ -35,6 +35,15 @@ struct AccessResult
     Cycles latency = 0;
 };
 
+/** One level's MSHR activity (see Cache::mshrCoalesced() etc.). */
+struct MshrCounters
+{
+    std::uint64_t coalesced = 0;
+    std::uint64_t fullStalls = 0;
+    std::uint64_t fullStallCycles = 0;
+    std::uint64_t peakOccupancy = 0;
+};
+
 /**
  * Anything addressable by an upper level: caches and main memory.
  */
@@ -65,6 +74,9 @@ class MemoryLevel
 
     /** Fraction of this level currently powered (1.0 unless gated). */
     virtual double activeFraction() const { return 1.0; }
+
+    /** MSHR activity (all zero for levels without an MSHR file). */
+    virtual MshrCounters mshrCounters() const { return {}; }
 };
 
 /** DRAM with the Table 1 latency model. Always hits. */

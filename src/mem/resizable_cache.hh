@@ -165,6 +165,11 @@ class ResizableCache : public MemoryLevel, public RetireSink,
     {
         return mshrPeak_.value();
     }
+    MshrCounters mshrCounters() const override
+    {
+        return {mshrCoalesced(), mshrFullStalls(), mshrFullStallCycles(),
+                mshrPeakOccupancy()};
+    }
 
     /** Blocks invalidated because upsizing changed their index. */
     std::uint64_t remapInvalidations() const

@@ -506,9 +506,8 @@ ResizableCache::restoreFrom(sim::CheckpointReader &r)
 // ---------------------------------------------------------------
 
 void
-Hierarchy::snapshotTo(sim::CheckpointWriter &w) const
+MemorySide::snapshotMemoryTo(sim::CheckpointWriter &w) const
 {
-    w.beginSection("hier");
     w.putBool(dram_ != nullptr);
     if (dram_)
         dram_->snapshotTo(w);
@@ -519,17 +518,11 @@ Hierarchy::snapshotTo(sim::CheckpointWriter &w) const
         driL2_->snapshotTo(w);
     else
         l2_->snapshotTo(w);
-    l1d_->snapshotTo(w);
-    w.putBool(convL1i_ != nullptr);
-    if (convL1i_)
-        convL1i_->snapshotTo(w);
-    w.endSection();
 }
 
 void
-Hierarchy::restoreFrom(sim::CheckpointReader &r)
+MemorySide::restoreMemoryFrom(sim::CheckpointReader &r)
 {
-    r.beginSection("hier");
     if (r.getBool() != (dram_ != nullptr))
         throw sim::CheckpointError("memory flavour mismatch");
     if (dram_)
@@ -542,6 +535,25 @@ Hierarchy::restoreFrom(sim::CheckpointReader &r)
         driL2_->restoreFrom(r);
     else
         l2_->restoreFrom(r);
+}
+
+void
+Hierarchy::snapshotTo(sim::CheckpointWriter &w) const
+{
+    w.beginSection("hier");
+    snapshotMemoryTo(w);
+    l1d_->snapshotTo(w);
+    w.putBool(convL1i_ != nullptr);
+    if (convL1i_)
+        convL1i_->snapshotTo(w);
+    w.endSection();
+}
+
+void
+Hierarchy::restoreFrom(sim::CheckpointReader &r)
+{
+    r.beginSection("hier");
+    restoreMemoryFrom(r);
     l1d_->restoreFrom(r);
     if (r.getBool() != (convL1i_ != nullptr))
         throw sim::CheckpointError("L1I flavour mismatch");

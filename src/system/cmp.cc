@@ -9,7 +9,6 @@
 #include <algorithm>
 
 #include "obs/metrics.hh"
-#include "policy/dri_policy.hh"
 #include "util/logging.hh"
 #include "util/str.hh"
 
@@ -80,7 +79,7 @@ CmpSystem::CmpSystem(const CmpConfig &cmp, const HierarchyParams &hier,
                      const OooParams &coreParams,
                      const std::vector<const ProgramImage *> &images,
                      stats::StatGroup *parent)
-    : cmp_(cmp), hier_(hier)
+    : cmp_(cmp), memory_(hier, parent)
 {
     const unsigned n = cmp.cores;
     drisim_assert(n >= 1 && n <= kMaxCmpCores,
@@ -90,27 +89,8 @@ CmpSystem::CmpSystem(const CmpConfig &cmp, const HierarchyParams &hier,
                   "need one program image per core (%zu != %u)",
                   images.size(), n);
 
-    if (hier.dram.banked) {
-        dram_ = std::make_unique<Dram>(hier.dram, hier.l2.blockBytes,
-                                       parent);
-        memLevel_ = dram_.get();
-    } else {
-        mem_ = std::make_unique<MainMemory>(hier.l2.blockBytes,
-                                            parent);
-        memLevel_ = mem_.get();
-    }
-    if (hier.l2Dri) {
-        driL2_ = std::make_unique<ResizableCache>(
-            driParamsForLevel(hier.l2, hier.l2DriParams),
-            ResizePolicy::writeback(), memLevel_, parent, "dri_l2");
-        l2Level_ = driL2_.get();
-    } else {
-        convL2_ =
-            std::make_unique<Cache>(hier.l2, memLevel_, parent);
-        l2Level_ = convL2_.get();
-    }
     bus_ = std::make_unique<SharedL2Bus>(
-        l2Level_, hier.l2.blockBytes, cmp.l2Banks,
+        memory_.l2Level(), hier.l2.blockBytes, cmp.l2Banks,
         cmp.l2ContentionPenalty, n);
     if (cmp.coherence.enabled)
         bus_->enableCoherence(cmp.coherence, n);
@@ -176,8 +156,8 @@ CmpSystem::CmpSystem(const CmpConfig &cmp, const HierarchyParams &hier,
     // there is only one core (the exact single-core runner wiring);
     // with several cores the scheduler drives it from system-wide
     // progress instead (see run()).
-    if (n == 1 && driL2_)
-        cores_[0]->addResizable(driL2_.get());
+    if (n == 1)
+        cores_[0]->addResizable(memory_.driL2());
 }
 
 CmpRunOutput
@@ -186,6 +166,7 @@ CmpSystem::run(InstCount maxInstrsPerCore)
     const unsigned n = cores();
     std::vector<InstCount> remaining(n, maxInstrsPerCore);
     Cycles sysClock = 0;
+    ResizableCache *const systemL2 = n > 1 ? memory_.driL2() : nullptr;
 
     // Per-core interval metrics (observation only): one sampler per
     // core, sampled once its committed-instruction count has advanced
@@ -244,15 +225,15 @@ CmpSystem::run(InstCount maxInstrsPerCore)
         // sense interval counts instructions retired anywhere in
         // the system and its active-size integral runs on the
         // system clock (the slowest core's local time).
-        if (n > 1 && driL2_) {
+        if (systemL2) {
             if (roundRetired > 0)
-                driL2_->retireInstructions(roundRetired);
+                systemL2->retireInstructions(roundRetired);
             Cycles clock = 0;
             for (unsigned k = 0; k < n; ++k)
                 clock =
                     std::max(clock, cores_[k]->stats().cycles);
             if (clock > sysClock) {
-                driL2_->integrateCycles(clock - sysClock);
+                systemL2->integrateCycles(clock - sysClock);
                 sysClock = clock;
             }
         }
@@ -272,12 +253,7 @@ CmpSystem::run(InstCount maxInstrsPerCore)
 
     CmpRunOutput out;
     out.cores.resize(n);
-    const auto addMshrs = [&out](const auto &c) {
-        out.mshrCoalesced += c.mshrCoalesced();
-        out.mshrFullStalls += c.mshrFullStalls();
-        out.mshrPeakOccupancy =
-            std::max(out.mshrPeakOccupancy, c.mshrPeakOccupancy());
-    };
+    fillMemoryOutputs(memory_, out);
     for (unsigned k = 0; k < n; ++k) {
         CmpCoreOutput &c = out.cores[k];
         const CoreStats cs = cores_[k]->stats();
@@ -309,8 +285,6 @@ CmpSystem::run(InstCount maxInstrsPerCore)
         }
 
         out.systemCycles = std::max(out.systemCycles, cs.cycles);
-        out.l2Accesses += c.l2Accesses;
-        out.l2Misses += c.l2Misses;
         out.l2ContentionEvents += c.l2ContentionEvents;
         out.l2MissLatencyCycles += c.l2MissLatencyCycles;
         out.coherenceInvalidations +=
@@ -318,45 +292,11 @@ CmpSystem::run(InstCount maxInstrsPerCore)
         out.coherenceDowngrades += c.coherenceDowngrades;
         out.coherenceWritebacks += c.coherenceWritebacks;
         out.coherenceMsgCycles += c.coherenceMsgCycles;
-
-        // MSHR activity over this core's private levels: the L1D and
-        // a conventional or DRI L1I (the other policy caches keep
-        // theirs in their own stat groups).
-        addMshrs(*l1ds_[k]);
-        if (convL1is_[k])
-            addMshrs(*convL1is_[k]);
-        else if (l1is_[k].flavour == L1Flavour::Dri)
-            addMshrs(
-                static_cast<DriPolicy &>(*policyL1is_[k]).icache());
-    }
-    out.l2MissRate =
-        out.l2Accesses == 0
-            ? 0.0
-            : static_cast<double>(out.l2Misses) /
-                  static_cast<double>(out.l2Accesses);
-    out.memAccesses = memAccesses();
-    if (driL2_) {
-        out.l2SizeBytes = driL2_->params().sizeBytes;
-        out.l2AvgActiveFraction = driL2_->averageActiveFraction();
-        out.l2ResizingTagBits = driL2_->params().resizingTagBits();
-        out.l2Resizes = driL2_->upsizes() + driL2_->downsizes();
-        addMshrs(*driL2_);
-    } else {
-        out.l2SizeBytes = hier_.l2.sizeBytes;
-        addMshrs(*convL2_);
+        addCoreMshrs(*l1ds_[k], l1is_[k], out);
     }
     if (const CoherenceController *cc = bus_->coherence())
         out.directoryEvictions =
             cc->directory().capacityEvictions();
-    if (dram_) {
-        out.dramRowHits = dram_->rowHits();
-        out.dramRowMisses = dram_->rowMisses();
-        out.dramQueueFullEvents = dram_->queueFullEvents();
-        out.dramBusyCycles = dram_->busyCycles();
-        out.dramBankRowHits.resize(dram_->params().banks);
-        for (unsigned b = 0; b < dram_->params().banks; ++b)
-            out.dramBankRowHits[b] = dram_->rowHitsForBank(b);
-    }
     return out;
 }
 
@@ -391,12 +331,6 @@ CmpSystem::addCoreProbes(obs::MetricRegistry &reg, unsigned k)
             return static_cast<double>(
                 policy->activity().coherenceRefetches);
         });
-}
-
-std::uint64_t
-CmpSystem::memAccesses() const
-{
-    return mem_ ? mem_->accesses() : dram_->accesses();
 }
 
 } // namespace drisim

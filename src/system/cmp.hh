@@ -5,7 +5,9 @@
  * own workload, sharing one unified L2 (conventional or resizable)
  * and main memory. Each core's L1I is built, probed and reported as
  * in the single-core runner (system/l1i.hh): a conventional Cache or
- * a LeakagePolicy from makeLeakagePolicy, DRI included.
+ * a LeakagePolicy from makeLeakagePolicy, DRI included. The memory
+ * and the shared L2 are a MemorySide (mem/hierarchy.hh), built and
+ * reported as the runner's are.
  *
  * The paper evaluates gated-Vdd resizing on a single core; leakage
  * pressure is worst where SRAM is largest and shared — the CMP
@@ -152,7 +154,8 @@ struct CmpRunOutput
     /** System time: the slowest core's local clock. */
     Cycles systemCycles = 0;
 
-    /** Shared-L2 view (sums of the per-core attributions). */
+    /** Shared-L2 view: the L2's own counts, which the per-core bus
+     *  attributions partition; contention sums over cores. */
     std::uint64_t l2Accesses = 0;
     std::uint64_t l2Misses = 0;
     double l2MissRate = 0.0;
@@ -168,9 +171,9 @@ struct CmpRunOutput
     /** Demand-miss latency summed over cores (see CmpCoreOutput). */
     std::uint64_t l2MissLatencyCycles = 0;
 
-    /** MSHR activity summed over the L2 and each core's L1D and
-     *  conventional or DRI L1I; decay, drowsy and ways L1Is are left
-     *  out (zero when the system runs the blocking default). */
+    /** MSHR activity summed over the L2 and every core's L1D and
+     *  L1I, whatever its flavour; the peak is the max over those
+     *  levels (zero when the system runs the blocking default). */
     std::uint64_t mshrCoalesced = 0;
     std::uint64_t mshrFullStalls = 0;
     std::uint64_t mshrPeakOccupancy = 0;
@@ -309,10 +312,11 @@ class SharedL2Port : public MemoryLevel
 };
 
 /**
- * Owns the whole CMP: memory, the shared L2 (conventional or
- * resizable, per hier.l2Dri), the bus, and per core a port, an L1D,
- * an L1I (conventional or leakage-managed, per CmpCoreConfig) and an
- * OooCore fed by its own trace generator.
+ * Owns the whole CMP: a MemorySide (memory and the shared L2,
+ * conventional or resizable per hier.l2Dri, built and reported as
+ * the single-core runner's), the bus over its L2, and per core a
+ * port, an L1D, an L1I (conventional or leakage-managed, per
+ * CmpCoreConfig) and an OooCore fed by its own trace generator.
  */
 class CmpSystem
 {
@@ -344,9 +348,6 @@ class CmpSystem
         return static_cast<unsigned>(cores_.size());
     }
 
-    /** Memory accesses regardless of flavour. */
-    std::uint64_t memAccesses() const;
-
     /**
      * Enable per-core interval metrics: when the global interval
      * recorder (obs/metrics.hh) is live, run() records a sample
@@ -365,14 +366,7 @@ class CmpSystem
     void addCoreProbes(obs::MetricRegistry &reg, unsigned k);
 
     CmpConfig cmp_;
-    HierarchyParams hier_;
-
-    std::unique_ptr<MainMemory> mem_;
-    std::unique_ptr<Dram> dram_;
-    MemoryLevel *memLevel_ = nullptr;
-    std::unique_ptr<Cache> convL2_;
-    std::unique_ptr<ResizableCache> driL2_;
-    MemoryLevel *l2Level_ = nullptr;
+    MemorySide memory_;
     std::unique_ptr<SharedL2Bus> bus_;
 
     std::vector<std::unique_ptr<stats::StatGroup>> cpuGroups_;

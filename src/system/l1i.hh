@@ -7,8 +7,9 @@
  *
  * The single-core runner (harness/runner.cc) and the CMP
  * (system/cmp.hh) both describe their L1I with an L1iView, register
- * its interval probes with addL1iProbes and fill their run output's
- * L1I fields with fillL1iOutputs. A conventional, DRI or policy L1I
+ * its interval probes with addL1iProbes, fill their run output's
+ * L1I fields with fillL1iOutputs and add its MSHRs to the run's
+ * totals with addCoreMshrs. A conventional, DRI or policy L1I
  * therefore reads the same in every metrics series and report,
  * whichever system it sits in.
  */
@@ -21,6 +22,7 @@
 
 #include "cpu/core.hh"
 #include "mem/cache.hh"
+#include "mem/hierarchy.hh"
 #include "obs/probe.hh"
 #include "policy/leakage_policy.hh"
 
@@ -50,6 +52,12 @@ struct L1iView
     std::uint64_t misses() const
     {
         return policy ? policy->l1Misses() : conv->misses();
+    }
+    /** The MSHRs of the cache behind any flavour. */
+    MshrCounters mshrCounters() const
+    {
+        return policy ? policy->level()->mshrCounters()
+                      : conv->mshrCounters();
     }
 };
 
@@ -96,6 +104,18 @@ fillL1iOutputs(const L1iView &l1, Out &out)
     if constexpr (requires { out.l1GatedFraction; })
         out.l1GatedFraction = std::max(
             0.0, 1.0 - act.avgActiveFraction - act.avgDrowsyFraction);
+}
+
+/**
+ * Add a core's L1D and L1I (any flavour) MSHRs to a run's totals;
+ * fillMemoryOutputs adds the L2's.
+ */
+template <typename Out>
+void
+addCoreMshrs(const Cache &l1d, const L1iView &l1i, Out &out)
+{
+    addMshrCounters(l1d.mshrCounters(), out);
+    addMshrCounters(l1i.mshrCounters(), out);
 }
 
 } // namespace drisim

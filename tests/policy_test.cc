@@ -20,6 +20,8 @@
 #include "policy/dri_policy.hh"
 #include "policy/drowsy_policy.hh"
 #include "policy/static_ways.hh"
+#include "system/cmp.hh"
+#include "system/l1i.hh"
 
 namespace drisim
 {
@@ -165,6 +167,37 @@ TEST(DrowsyPolicy, WakeStallChargedExactlyOncePerWake)
     EXPECT_FALSE(cache.lineDrowsy(5, 0));
     EXPECT_EQ(cache.activity().wakeTransitions, 2u);
     EXPECT_EQ(cache.activity().wakeStallCycles, 2u);
+}
+
+TEST(DrowsyPolicy, CoalescedMissCountsInTheMshrTotals)
+{
+    // A policy L1I's MSHRs count in the run totals of both systems,
+    // like a conventional or DRI L1I's.
+    stats::StatGroup root("t");
+    MainMemory mem(32, &root);
+    PolicyConfig cfg = tinyConfig(PolicyKind::Drowsy);
+    cfg.dri.mshrs = 2;
+    const std::unique_ptr<LeakagePolicy> policy =
+        makeLeakagePolicy(cfg, &mem, &root);
+    MemoryLevel *l1i = policy->level();
+    EXPECT_FALSE(
+        l1i->accessAt(setAddr(3), AccessType::InstFetch, 100).hit);
+    // Same block, same cycle: coalesces onto the in-flight fill.
+    EXPECT_TRUE(
+        l1i->accessAt(setAddr(3), AccessType::InstFetch, 100).hit);
+
+    Cache l1d(CacheParams{"l1d", 1024, 1, 32, 1, ReplPolicy::LRU},
+              &mem, &root);
+    const L1iView view{L1Flavour::Policy, nullptr, policy.get(),
+                       cfg.dri.sizeBytes};
+    RunOutput single;
+    addCoreMshrs(l1d, view, single);
+    CmpRunOutput cmp;
+    addCoreMshrs(l1d, view, cmp);
+    EXPECT_EQ(single.mshrCoalesced, 1u);
+    EXPECT_EQ(single.mshrPeakOccupancy, 1u);
+    EXPECT_EQ(cmp.mshrCoalesced, 1u);
+    EXPECT_EQ(cmp.mshrPeakOccupancy, 1u);
 }
 
 TEST(DrowsyPolicy, FractionsPartitionTheArray)
